@@ -10,6 +10,8 @@ Subcommands::
 
 Every run copies its config file into the output directory, and a rerun
 with the same config and seed reproduces the CSV outputs bit for bit.
+Nothing is written before the config is validated and the plan and the
+episodes have run, so a failing command leaves no output behind.
 Exit codes: 0 success, 1 configuration or I/O error, 2 no path between
 start and goal.
 
@@ -263,8 +265,8 @@ def _run_all(episodes: list[Episode], parallel: bool) -> None:
 
 def cmd_plan(args) -> int:
     config = load_config(args.config, need_controllers=False)
-    out = _prepare_outdir(args, config, "plan")
     grid, (path, curve, trajectory) = _plan(config)
+    out = _prepare_outdir(args, config, "plan")
     write_trajectory_csv(trajectory, out / "trajectory.csv")
     dense = curve.point(np.linspace(0.0, 1.0, 256))
     svgplot.grid_overlay(
@@ -288,7 +290,6 @@ def cmd_track(args) -> int:
     config = load_config(args.config, need_controllers=True)
     if args.seed is not None:
         config.seed = args.seed
-    out = _prepare_outdir(args, config, "track")
     grid, (path, curve, trajectory) = _plan(config)
 
     episodes = [
@@ -303,6 +304,7 @@ def cmd_track(args) -> int:
     ]
     _run_all(episodes, args.parallel)
 
+    out = _prepare_outdir(args, config, "track")
     rows = []
     xy_curves = [("reference", trajectory.poses[:, 0], trajectory.poses[:, 1])]
     th_curves = [("reference", trajectory.times, trajectory.poses[:, 2])]
@@ -352,7 +354,6 @@ def cmd_step(args) -> int:
     config = load_config(args.config, need_controllers=True)
     if args.seed is not None:
         config.seed = args.seed
-    out = _prepare_outdir(args, config, "step")
 
     def run_one(cid: str):
         return cid, run_step_response(
@@ -364,6 +365,8 @@ def cmd_step(args) -> int:
             results = list(pool.map(run_one, config.controllers))
     else:
         results = [run_one(cid) for cid in config.controllers]
+
+    out = _prepare_outdir(args, config, "step")
 
     def show(value):
         return "-" if value is None else f"{value:.3f}"
@@ -418,14 +421,12 @@ def cmd_horizon(args) -> int:
         if args.np_values
         else config.np_values
     )
-    out = _prepare_outdir(args, config, "horizon")
-    grid, (path, curve, trajectory) = _plan(config)
     base = config.controller_configs.get("nmpc") or OcpConfig(ts=config.ts)
-
     try:
         configs = [dataclasses.replace(base, horizon=h) for h in np_values]
     except ValueError as err:
         raise CliError(f"invalid horizon value: {err}") from None
+    grid, (path, curve, trajectory) = _plan(config)
     episodes = [
         Episode(
             trajectory=trajectory,
@@ -438,6 +439,7 @@ def cmd_horizon(args) -> int:
     ]
     _run_all(episodes, args.parallel)
 
+    out = _prepare_outdir(args, config, "horizon")
     rows = []
     for horizon, episode in zip(np_values, episodes):
         metrics = tracking_metrics(episode.log)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import ndimage
-from scipy.interpolate import BSpline
 
 from omnitrack.kinematics import wrap_angle
 
@@ -135,10 +133,13 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     if radius < 0.0:
         raise ValueError("radius must be non-negative")
     steps = math.ceil(radius / grid.resolution)
-    if steps == 0:
-        return OccupancyGrid(grid.cells.copy(), grid.resolution, grid.origin)
-    kernel = np.ones((2 * steps + 1, 2 * steps + 1), dtype=bool)
-    grown = ndimage.binary_dilation(grid.cells.astype(bool), structure=kernel)
+    # The square kernel is separable: OR the shifted rows, then the
+    # shifted columns, of a copy padded with free cells.
+    height, width = grid.cells.shape
+    padded = np.pad(grid.cells.astype(bool), steps)
+    shifts = range(2 * steps + 1)
+    rows = np.logical_or.reduce([padded[k : k + height] for k in shifts])
+    grown = np.logical_or.reduce([rows[:, k : k + width] for k in shifts])
     return OccupancyGrid(grown.astype(np.uint8), grid.resolution, grid.origin)
 
 
@@ -187,6 +188,10 @@ def astar(
         if not grid.is_free(cell):
             raise InvalidCellError(f"{name} cell {cell} is occupied")
 
+    # Python-list lookup: per-neighbour numpy scalar indexing dominates
+    # the search otherwise.
+    free = (grid.cells == 0).tolist()
+    width, height = grid.width, grid.height
     counter = 0
     g_score = {start: 0}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
@@ -211,10 +216,13 @@ def astar(
             return (path, expansions) if count_expansions else path
         g_next = g_score[cell] + 1
         for dc, dr in NEIGHBOR_STEPS:
-            nxt = (cell[0] + dc, cell[1] + dr)
-            if nxt in closed or not grid.is_free(nxt):
+            col, row = cell[0] + dc, cell[1] + dr
+            if not (0 <= col < width and 0 <= row < height and free[row][col]):
                 continue
-            if g_next < g_score.get(nxt, np.inf):
+            nxt = (col, row)
+            if nxt in closed:
+                continue
+            if g_next < g_score.get(nxt, math.inf):
                 g_score[nxt] = g_next
                 parent[nxt] = cell
                 h = _manhattan(nxt, goal)
@@ -232,9 +240,58 @@ def _clamped_knots(n_points: int, degree: int) -> np.ndarray:
     )
 
 
+def _derivative_control_points(
+    knots: np.ndarray, points: np.ndarray, degree: int, order: int
+) -> np.ndarray:
+    """Control points of the order-th derivative curve (Piegl & Tiller A3.3).
+
+    The result is a spline of degree ``degree - order`` on
+    ``knots[order:len(knots) - order]``.  A zero knot difference (a knot
+    repeated more often than the reduced degree allows) scales its
+    difference to zero, since the matching basis function vanishes.
+    """
+    for k in range(1, order + 1):
+        p = degree - k + 1
+        n = points.shape[0]
+        den = knots[k + p : k + p + n - 1] - knots[k : k + n - 1]
+        den = np.where(den > 0.0, den, np.inf)
+        points = p * np.diff(points, axis=0) / den[:, None]
+    return points
+
+
+def _de_boor(
+    knots: np.ndarray, points: np.ndarray, degree: int, span: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """Curve value at each t in knot span ``span``: de Boor's triangular scheme."""
+    d = points[span[:, None] + np.arange(-degree, 1)]
+    for r in range(1, degree + 1):
+        for j in range(degree, r - 1, -1):
+            i = span + j - degree
+            left = knots[i]
+            alpha = ((t - left) / (knots[i + 1 + degree - r] - left))[:, None]
+            d[:, j] = (1.0 - alpha) * d[:, j - 1] + alpha * d[:, j]
+    return d[:, degree]
+
+
+def _horner(coeffs: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Sum of coeffs[k] * dx**k by Horner's rule; coeffs[k] broadcasts with dx."""
+    acc = np.empty(np.broadcast_shapes(coeffs.shape[1:], dx.shape))
+    acc[...] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc *= dx
+        acc += c
+    return acc
+
+
 @dataclass
 class SmoothPath:
-    """Clamped cubic B-spline curve through a planned path's corridor."""
+    """Clamped cubic B-spline curve through a planned path's corridor.
+
+    Construction converts the B-spline into one power-basis polynomial
+    per knot span: coefficient k of a span is the exact k-th de Boor
+    derivative at the span's left end over k!.  Evaluation then finds
+    the span of each parameter and runs Horner's rule there.
+    """
 
     control_points: np.ndarray
     degree: int = SPLINE_DEGREE
@@ -244,6 +301,8 @@ class SmoothPath:
         pts = np.asarray(self.control_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("control points must be an (n, 2) array")
+        if self.degree < 1:
+            raise ValueError("degree must be at least 1")
         if pts.shape[0] < self.degree + 1:
             raise ValueError("need at least degree + 1 control points")
         self.control_points = pts
@@ -254,19 +313,50 @@ class SmoothPath:
             expected = pts.shape[0] + self.degree + 1
             if self.knots.shape != (expected,):
                 raise ValueError("knot vector has wrong length")
-        self._spline = BSpline(self.knots, self.control_points, self.degree)
-        self._dspline = self._spline.derivative(1)
+            if np.any(np.diff(self.knots) < 0.0):
+                raise ValueError("knots must be non-decreasing")
+        p, n = self.degree, pts.shape[0]
+        # Breakpoints of the domain [knots[p], knots[n]]; knot span j is
+        # [breaks[j], breaks[j + 1]].
+        domain = self.knots[p : n + 1]
+        self._breaks = domain[np.concatenate([[True], np.diff(domain) > 0.0])]
+        if self._breaks.size < 2:
+            raise ValueError("knot vector spans an empty domain")
+        left = self._breaks[:-1]
+        # Index of the last knot equal to each span's left end.
+        span = np.searchsorted(self.knots, left, side="right") - 1
+        # _coeffs[k, axis, j]: power-basis coefficient of (t - breaks[j])**k.
+        self._coeffs = np.empty((p + 1, 2, left.size))
+        factorial = 1.0
+        for k in range(p + 1):
+            factorial *= max(k, 1)
+            dpts = _derivative_control_points(self.knots, pts, p, k)
+            sub = self.knots[k : self.knots.size - k]
+            self._coeffs[k] = _de_boor(sub, dpts, p - k, span - k, left).T / factorial
+        # Coefficients of the tangent, for the arc-length code.
+        self._tangent = self._coeffs[1:] * np.arange(1, p + 1)[:, None, None]
+
+    def _evaluate(self, coeffs: np.ndarray, t) -> np.ndarray:
+        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+        flat = t.reshape(-1)
+        # The knot span holding each t; the end spans extrapolate.
+        last = self._breaks.size - 2
+        span = np.clip(np.searchsorted(self._breaks, flat, side="right") - 1, 0, last)
+        values = _horner(coeffs[:, :, span], flat - self._breaks[span])
+        return values.T.reshape(t.shape + (2,))
 
     def point(self, t) -> np.ndarray:
         """Evaluate the curve at parameter t in [0, 1]."""
-        return self._spline(np.clip(t, 0.0, 1.0))
+        return self._evaluate(self._coeffs, t)
 
     def derivative(self, t, order: int = 1) -> np.ndarray:
-        return self._spline.derivative(order)(np.clip(t, 0.0, 1.0))
-
-    def _speed(self, t) -> np.ndarray:
-        d = self._dspline(t)
-        return np.hypot(d[..., 0], d[..., 1])
+        if not 0 <= order <= self.degree:
+            raise ValueError(f"derivative order must lie in [0, {self.degree}]")
+        # d^order/dx^order of x**k is k! / (k - order)! * x**(k - order).
+        falling = np.ones(self.degree + 1 - order)
+        for i in range(order):
+            falling *= np.arange(order - i, self.degree + 1 - i)
+        return self._evaluate(self._coeffs[order:] * falling[:, None, None], t)
 
 
 def smooth(path: GridPath, grid: OccupancyGrid) -> SmoothPath:
@@ -285,64 +375,87 @@ def smooth(path: GridPath, grid: OccupancyGrid) -> SmoothPath:
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
 
 
-def _gl_arc(curve: SmoothPath, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre (order 10) arc length of curve over [a, b], vectorized."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _gl_arc(
+    tangent: np.ndarray, base: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Gauss-Legendre (order 10) arc length over [a, b], vectorized.
+
+    Each interval lies in one knot span with left end ``base``; its
+    tangent coefficients ``tangent[k, axis]`` broadcast against the
+    (..., 10) grid of quadrature nodes, so no span search is needed.
+    """
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    # nodes: (..., 10) parameter values per interval
-    ts = mid[..., None] + half[..., None] * _GL_NODES
-    speeds = curve._speed(ts.reshape(-1)).reshape(ts.shape)
-    return half * (speeds @ _GL_WEIGHTS)
+    dx = (0.5 * (a + b) - base)[..., None] + half[..., None] * _GL_NODES
+    vx = _horner(tangent[:, 0], dx)
+    vy = _horner(tangent[:, 1], dx)
+    return half * (np.sqrt(vx * vx + vy * vy) @ _GL_WEIGHTS)
 
 
-def _arc_table(curve: SmoothPath, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _arc_table(
+    curve: SmoothPath, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive cumulative arc length over the knot spans.
 
-    Each span is subdivided until one more bisection changes its length
-    estimate by less than its share of tol.  Returns interval edges and
-    the cumulative arc length at each edge.
+    Each interval is bisected until one more bisection changes its
+    length estimate by less than its span's share of tol.  All pending
+    intervals of every span are refined together, one array per level.
+    Returns interval edges, the cumulative arc length at each edge and
+    the knot span holding each interval.
     """
-    spans = np.unique(curve.knots)
-    edges = [0.0]
-    lengths = []
-    budget = tol / max(len(spans) - 1, 1)
-    for a, b in zip(spans[:-1], spans[1:]):
-        stack = [(a, b, _gl_arc(curve, a, b))]
-        while stack:
-            lo, hi, coarse = stack.pop()
-            mid = 0.5 * (lo + hi)
-            left = _gl_arc(curve, lo, mid)
-            right = _gl_arc(curve, mid, hi)
-            if abs(left + right - coarse) <= budget or hi - lo < 1e-12:
-                # left interval first: keep edges sorted by processing order
-                stack_done = [(lo, mid, left), (mid, hi, right)]
-                for e0, e1, val in stack_done:
-                    edges.append(e1)
-                    lengths.append(val)
-            else:
-                stack.append((mid, hi, right))
-                stack.append((lo, mid, left))
-    edges = np.array(edges)
-    cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
-    return edges, cumulative
+    breaks = curve._breaks
+    budget = tol / (breaks.size - 1)
+    span = np.arange(breaks.size - 1)
+    lo, hi = breaks[:-1], breaks[1:]
+    coarse = _gl_arc(curve._tangent[..., None], lo, lo, hi)
+    starts, lengths, spans = [], [], []
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        halves = _gl_arc(
+            curve._tangent[:, :, span, None, None],
+            breaks[span][:, None],
+            np.column_stack([lo, mid]),
+            np.column_stack([mid, hi]),
+        )
+        left, right = halves[:, 0], halves[:, 1]
+        done = (np.abs(left + right - coarse) <= budget) | (hi - lo < 1e-12)
+        starts += [lo[done], mid[done]]
+        lengths += [left[done], right[done]]
+        spans += [span[done], span[done]]
+        todo = ~done
+        lo, hi = np.concatenate([lo[todo], mid[todo]]), np.concatenate([mid[todo], hi[todo]])
+        coarse = np.concatenate([left[todo], right[todo]])
+        span = np.concatenate([span[todo], span[todo]])
+    starts = np.concatenate(starts)
+    order = np.argsort(starts)
+    edges = np.append(starts[order], breaks[-1])
+    cumulative = np.concatenate([[0.0], np.cumsum(np.concatenate(lengths)[order])])
+    return edges, cumulative, np.concatenate(spans)[order]
 
 
 def _invert_arc_length(
-    curve: SmoothPath, edges: np.ndarray, cumulative: np.ndarray, targets: np.ndarray
+    curve: SmoothPath,
+    edges: np.ndarray,
+    cumulative: np.ndarray,
+    spans: np.ndarray,
+    targets: np.ndarray,
 ) -> np.ndarray:
-    """Bisection solve of arc_length(0, t) = target for each target."""
+    """Bisection solve of arc_length(0, t) = target for each target.
+
+    Every table interval lies inside one knot span, so each target's
+    tangent coefficients are gathered once, before the bisection.
+    """
     total = cumulative[-1]
     targets = np.clip(targets, 0.0, total)
     idx = np.clip(np.searchsorted(cumulative, targets, side="right") - 1, 0, len(edges) - 2)
-    lo = edges[idx]
+    lo = start = edges[idx]
     hi = edges[idx + 1]
-    base = cumulative[idx]
-    local = targets - base
+    local = targets - cumulative[idx]
+    span = spans[idx]
+    base = curve._breaks[span]
+    tangent = np.repeat(curve._tangent[:, :, span, None], _GL_NODES.size, axis=-1)
     for _ in range(52):
         mid = 0.5 * (lo + hi)
-        below = _gl_arc(curve, edges[idx], mid) < local
+        below = _gl_arc(tangent, base, start, mid) < local
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -400,13 +513,13 @@ def sample_reference(
     if n_points < 2:
         raise ValueError("total_time must cover at least one step")
 
-    edges, cumulative = _arc_table(curve, ARC_LENGTH_TOL)
+    edges, cumulative, spans = _arc_table(curve, ARC_LENGTH_TOL)
     total = cumulative[-1]
     if total < DEGENERATE_LENGTH:
         raise DegenerateCurveError("curve arc length is numerically zero")
 
     targets = np.linspace(0.0, total, n_points)
-    params = _invert_arc_length(curve, edges, cumulative, targets)
+    params = _invert_arc_length(curve, edges, cumulative, spans, targets)
     params[0], params[-1] = 0.0, 1.0
     xy = curve.point(params)
 

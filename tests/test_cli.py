@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import omnitrack
 from omnitrack.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main, standard_map_path
 from omnitrack.planning import read_trajectory_csv
 from omnitrack.simlab import read_run_csv, tracking_metrics
@@ -213,3 +218,48 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
     bad_np = write_config(tmp_path, name="n.ini", experiment={"np_values": "0,5"})
     assert main(["horizon", "--config", str(bad_np)]) == EXIT_ERROR
     capsys.readouterr()
+
+
+def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
+    configs, walled, cwd = tmp_path / "configs", tmp_path / "walled", tmp_path / "cwd"
+    for directory in (configs, walled, cwd):
+        directory.mkdir()
+    missing = write_config(configs, name="m.ini", sections={"fpid-t1": None})
+    bad_time = write_config(configs, name="t.ini", experiment={"total_time": "0"})
+    bad_np = write_config(configs, name="n.ini", experiment={"np_values": "0,5"})
+    blocked = write_config(walled)
+    (walled / "arena.map").write_text(WALLED_MAP, encoding="ascii")
+    monkeypatch.chdir(cwd)
+    cases = [
+        (["track", "--config", str(missing)], EXIT_ERROR),
+        (["step", "--config", str(missing)], EXIT_ERROR),
+        (["plan", "--config", str(bad_time)], EXIT_ERROR),
+        (["horizon", "--config", str(bad_np)], EXIT_ERROR),
+        (["horizon", "--config", str(blocked), "--np-values", "0"], EXIT_ERROR),
+        (["plan", "--config", str(blocked)], EXIT_NO_PATH),
+        (["track", "--config", str(blocked)], EXIT_NO_PATH),
+        (["horizon", "--config", str(blocked)], EXIT_NO_PATH),
+    ]
+    for argv, code in cases:
+        assert main(argv) == code, argv
+    assert list(cwd.iterdir()) == []
+    capsys.readouterr()
+
+
+def test_cli_import_does_not_load_scipy(tmp_path):
+    src = Path(omnitrack.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, omnitrack.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

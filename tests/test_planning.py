@@ -3,12 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from omnitrack.planning import (
+    ARC_LENGTH_TOL,
     DegenerateCurveError,
     InvalidCellError,
     NoPathError,
     OccupancyGrid,
+    SmoothPath,
+    _arc_table,
     astar,
     inflate,
     load_grid,
@@ -180,6 +186,19 @@ def test_inflate_grows_obstacles():
     assert np.array_equal(same.cells, grid.cells)
 
 
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_inflate_matches_scipy_dilation(radius):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(60 + radius)
+    kernel = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    for _ in range(20):
+        height, width = rng.integers(1, 25, size=2)
+        cells = (rng.random((height, width)) < 0.15).astype(np.uint8)
+        want = ndimage.binary_dilation(cells.astype(bool), structure=kernel)
+        got = inflate(OccupancyGrid(cells), float(radius))
+        assert np.array_equal(got.cells, want.astype(np.uint8))
+
+
 # ------------------------------------------------------------- smoothing
 
 
@@ -239,6 +258,109 @@ def test_short_paths_are_padded():
     assert curve.control_points.shape[0] >= 4
     assert curve.point(0.0) == pytest.approx([0.0, 0.0])
     assert curve.point(1.0) == pytest.approx([1.0, 0.0])
+
+
+def oracle_curve(kind):
+    rng = np.random.default_rng(71)
+    if kind == "padded":
+        grid = OccupancyGrid(np.zeros((1, 2), dtype=np.uint8), resolution=1.0)
+        return smooth(astar(grid, (0, 0), (1, 0)), grid)
+    if kind == "default":
+        grid = random_grid(rng)
+        return smooth(astar(grid, (0, 0), (19, 19)), grid)
+    points = rng.normal(scale=3.0, size=(9, 2))
+    interior = np.array([0.05, 0.1, 0.4, 0.45, 0.9])
+    knots = np.concatenate([np.zeros(4), interior, np.ones(4)])
+    return SmoothPath(points, knots=knots)
+
+
+@pytest.mark.parametrize("kind", ["default", "nonuniform", "padded"])
+def test_spline_matches_scipy_bspline(kind):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    curve = oracle_curve(kind)
+    oracle = interpolate.BSpline(curve.knots, curve.control_points, curve.degree)
+    ts = np.concatenate([np.linspace(0.0, 1.0, 1001), np.unique(curve.knots)])
+    for order in range(4):
+        spline = oracle.derivative(order) if order else oracle
+        got = curve.derivative(ts, order) if order else curve.point(ts)
+        want = spline(ts)
+        atol = 1e-12 * max(np.abs(want).max(), 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+        for t in (0.0, 0.37, 1.0):
+            got = curve.derivative(t, order) if order else curve.point(t)
+            assert got.shape == (2,)
+            np.testing.assert_allclose(got, spline(t), rtol=1e-12, atol=atol)
+    with pytest.raises(ValueError):
+        oracle.derivative(4)
+    with pytest.raises(ValueError):
+        curve.derivative(0.5, 4)
+
+
+def loop_arc_table(curve, tol):
+    """One interval at a time, depth first: the reference for _arc_table."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+
+    def arc(a, b):
+        d = curve.derivative(0.5 * (a + b) + 0.5 * (b - a) * nodes)
+        return 0.5 * (b - a) * (np.hypot(d[:, 0], d[:, 1]) @ weights)
+
+    breaks = np.unique(curve.knots)
+    budget = tol / (len(breaks) - 1)
+    edges, lengths = [breaks[0]], []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        stack = [(a, b, arc(a, b))]
+        while stack:
+            lo, hi, coarse = stack.pop()
+            mid = 0.5 * (lo + hi)
+            left, right = arc(lo, mid), arc(mid, hi)
+            if abs(left + right - coarse) <= budget or hi - lo < 1e-12:
+                edges += [mid, hi]
+                lengths += [left, right]
+            else:
+                stack += [(mid, hi, right), (lo, mid, left)]
+    return np.array(edges), np.concatenate([[0.0], np.cumsum(lengths)])
+
+
+@pytest.mark.parametrize("seed", [3, 23, 41])
+def test_batched_arc_table_matches_loop(seed):
+    grid = random_grid(np.random.default_rng(seed))
+    curve = smooth(astar(grid, (0, 0), (19, 19)), grid)
+    edges, cumulative, _ = _arc_table(curve, ARC_LENGTH_TOL)
+    want_edges, want_cumulative = loop_arc_table(curve, ARC_LENGTH_TOL)
+    assert np.array_equal(edges, want_edges)
+    np.testing.assert_allclose(cumulative, want_cumulative, rtol=1e-12, atol=1e-12)
+
+
+control_polygons = st.integers(4, 16).flatmap(
+    lambda n: arrays(
+        float,
+        (n, 2),
+        elements=st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(control_polygons)
+def test_arc_table_properties(points):
+    curve = SmoothPath(points)
+    edges, cumulative, spans = _arc_table(curve, ARC_LENGTH_TOL)
+    breaks = np.unique(curve.knots)
+    assert np.all(np.diff(edges) > 0.0)
+    assert edges[0] == breaks[0] and edges[-1] == breaks[-1]
+    # Every interval lies inside one knot span; the inversion relies on it.
+    assert np.all(breaks[spans] <= edges[:-1])
+    assert np.all(edges[1:] <= breaks[spans + 1])
+    # Chords of a fine sampling are shorter than the curve, and the curve
+    # is shorter than its control polygon (knot insertion cuts corners).
+    samples = curve.point(np.linspace(0.0, 1.0, 2001))
+    chords = np.linalg.norm(np.diff(samples, axis=0), axis=1).sum()
+    polygon = np.linalg.norm(np.diff(points, axis=0), axis=1).sum()
+    slack = 1e-6 * (1.0 + polygon)
+    assert chords - slack <= cumulative[-1] <= polygon + slack
+    scale = 1e-12 * (1.0 + np.abs(points).max())
+    np.testing.assert_allclose(curve.point(0.0), points[0], rtol=0, atol=scale)
+    np.testing.assert_allclose(curve.point(1.0), points[-1], rtol=0, atol=scale)
 
 
 # -------------------------------------------------------------- sampling
