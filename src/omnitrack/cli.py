@@ -3,10 +3,10 @@
 Subcommands::
 
     omnitrack plan    --config cfg.ini [--out DIR]
-    omnitrack track   --config cfg.ini [--seed N] [--out DIR] [--parallel]
-    omnitrack step    --config cfg.ini [--seed N] [--out DIR] [--parallel]
+    omnitrack track   --config cfg.ini [--seed N] [--out DIR]
+    omnitrack step    --config cfg.ini [--out DIR]
     omnitrack horizon --config cfg.ini [--np-values 5,10,15] [--out DIR]
-                      [--seed N] [--parallel]
+                      [--seed N]
 
 Every run copies its config file into the output directory, and a rerun
 with the same config and seed reproduces the CSV outputs bit for bit.
@@ -29,7 +29,6 @@ import dataclasses
 import shutil
 import sys
 import configparser
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -254,15 +253,6 @@ def _plan(config: ExperimentConfig):
     )
 
 
-def _run_all(episodes: list[Episode], parallel: bool) -> None:
-    if parallel and len(episodes) > 1:
-        with ThreadPoolExecutor(max_workers=len(episodes)) as pool:
-            list(pool.map(run_episode, episodes))
-    else:
-        for episode in episodes:
-            run_episode(episode)
-
-
 def cmd_plan(args) -> int:
     config = load_config(args.config, need_controllers=False)
     grid, (path, curve, trajectory) = _plan(config)
@@ -302,7 +292,8 @@ def cmd_track(args) -> int:
         )
         for cid in config.controllers
     ]
-    _run_all(episodes, args.parallel)
+    for episode in episodes:
+        run_episode(episode)
 
     out = _prepare_outdir(args, config, "track")
     rows = []
@@ -352,19 +343,10 @@ def cmd_track(args) -> int:
 
 def cmd_step(args) -> int:
     config = load_config(args.config, need_controllers=True)
-    if args.seed is not None:
-        config.seed = args.seed
-
-    def run_one(cid: str):
-        return cid, run_step_response(
-            cid, config.controller_configs[cid], ts=config.ts
-        )
-
-    if args.parallel and len(config.controllers) > 1:
-        with ThreadPoolExecutor(max_workers=len(config.controllers)) as pool:
-            results = list(pool.map(run_one, config.controllers))
-    else:
-        results = [run_one(cid) for cid in config.controllers]
+    results = [
+        (cid, run_step_response(cid, config.controller_configs[cid], ts=config.ts))
+        for cid in config.controllers
+    ]
 
     out = _prepare_outdir(args, config, "step")
 
@@ -437,7 +419,8 @@ def cmd_horizon(args) -> int:
         )
         for cfg in configs
     ]
-    _run_all(episodes, args.parallel)
+    for episode in episodes:
+        run_episode(episode)
 
     out = _prepare_outdir(args, config, "horizon")
     rows = []
@@ -468,24 +451,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="omnitrack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides the config)")
-        p.add_argument("--seed", type=int, help="episode seed (overrides the config)")
-        p.add_argument(
-            "--parallel",
-            action="store_true",
-            help="run independent episodes concurrently",
-        )
+        if seeded:  # step responses and plans are noise-free
+            p.add_argument("--seed", type=int, help="episode seed (overrides the config)")
 
     common(sub.add_parser("plan", help="plan a reference trajectory"))
     sub.choices["plan"].set_defaults(func=cmd_plan)
-    common(sub.add_parser("track", help="run tracking episodes"))
+    common(sub.add_parser("track", help="run tracking episodes"), seeded=True)
     sub.choices["track"].set_defaults(func=cmd_track)
     common(sub.add_parser("step", help="per-axis unit step responses"))
     sub.choices["step"].set_defaults(func=cmd_step)
     horizon = sub.add_parser("horizon", help="prediction-horizon sweep")
-    common(horizon)
+    common(horizon, seeded=True)
     horizon.add_argument(
         "--np-values", help="comma-separated horizon lengths (overrides the config)"
     )

@@ -23,7 +23,6 @@ LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
 ERROR_RANGE = (-1.0, 1.0)
 DELTA_RANGE = (-0.1, 0.1)
 DEFAULT_RESOLUTION = 1001
-KM_MAX_ITERATIONS = 100
 
 
 class FuzzyError(Exception):
@@ -32,10 +31,6 @@ class FuzzyError(Exception):
 
 class EmptyAggregateError(FuzzyError):
     """No rule produced output mass; the partition does not cover the input."""
-
-
-class KmNonconvergenceError(FuzzyError):
-    """Karnik-Mendel switch-point iteration failed to reach a fixed point."""
 
 
 class GainDeltas(NamedTuple):
@@ -286,59 +281,57 @@ class RuleBase:
 
 
 def km_centroid(
-    x: np.ndarray,
-    f_lower: np.ndarray,
-    f_upper: np.ndarray,
-    max_iterations: int = KM_MAX_ITERATIONS,
+    x: np.ndarray, f_lower: np.ndarray, f_upper: np.ndarray
 ) -> tuple[float, float]:
     """Karnik-Mendel centroid bounds of an interval-weighted point set.
 
     Finds min and max of sum(x * theta) / sum(theta) over all weight
-    vectors with f_lower <= theta <= f_upper, via the classic switch-point
-    iteration: each bound is attained with upper weights on one side of a
-    switch index and lower weights on the other.
+    vectors with f_lower <= theta <= f_upper.  Each bound is attained
+    with upper weights on one side of a switch index and lower weights
+    on the other (Karnik & Mendel 2001), so it is the extreme of that
+    weighted mean over every switch index; no iteration is needed.
     """
     x = np.asarray(x, dtype=float)
     fl = np.asarray(f_lower, dtype=float)
     fu = np.asarray(f_upper, dtype=float)
     if x.shape != fl.shape or x.shape != fu.shape:
         raise ValueError("x, f_lower and f_upper must share one shape")
-    if np.any(fl < 0.0) or np.any(fu < fl):
+    if not (np.isfinite(x).all() and np.isfinite(fu).all()):
+        raise ValueError("x and f_upper must be finite")
+    # Written so that a NaN lower weight fails too.
+    if not ((fl >= 0.0).all() and (fl <= fu).all()):
         raise ValueError("weights must satisfy 0 <= f_lower <= f_upper")
     if fu.sum() <= 0.0:
         raise EmptyAggregateError("no upper membership mass")
 
     order = np.argsort(x, kind="stable")
-    x, fl, fu = x[order], fl[order], fu[order]
-
-    # Padded prefix sums: index k counts points strictly before the switch.
-    cxl = np.concatenate([[0.0], np.cumsum(x * fl)])
-    cl = np.concatenate([[0.0], np.cumsum(fl)])
-    cxu = np.concatenate([[0.0], np.cumsum(x * fu)])
-    cu = np.concatenate([[0.0], np.cumsum(fu)])
+    x = x[order]
     n = x.size
+    # A power-of-two scale is exact and changes no ratio; it keeps tiny
+    # weights from underflowing in x * weight.  The exponent cap lifts
+    # even the smallest subnormal into the normal range without overflow.
+    scale = math.ldexp(1.0, min(-math.frexp(fu.max())[1], 1000))
+    terms = np.empty((2, 2, n))  # [x * weight, weight] by [lower, upper]
+    np.multiply([fl[order], fu[order]], scale, out=terms[1])
+    np.multiply(terms[1], x, out=terms[0])
 
-    def solve(side: str, upper_first: bool) -> float:
-        y = (cxl[n] + cxu[n]) / (cl[n] + cu[n])
-        prev_k = -1
-        for _ in range(max_iterations):
-            k = int(np.searchsorted(x, y, side=side))
-            if upper_first:
-                num = cxu[k] + (cxl[n] - cxl[k])
-                den = cu[k] + (cl[n] - cl[k])
-            else:
-                num = cxl[k] + (cxu[n] - cxu[k])
-                den = cl[k] + (cu[n] - cu[k])
-            y_next = num / den
-            if k == prev_k or y_next == y:
-                return y_next
-            prev_k, y = k, y_next
-        raise KmNonconvergenceError("switch-point iteration did not settle")
-
-    # Left bound: upper weights on the small-x side pulls the centroid down.
-    y_left = solve("right", upper_first=True)
-    y_right = solve("left", upper_first=False)
-    return y_left, y_right
+    # Column k of the padded sums splits the points at switch k: prefix
+    # sums hold the k points before it, suffix sums the rest.  Tails are
+    # summed on their own rather than as total minus prefix, which would
+    # cancel when a light tail follows a heavy head.  Reversing the
+    # lower/upper axis of the suffixes pairs lower heads with upper tails.
+    prefix = np.zeros((2, 2, n + 1))
+    suffix = np.zeros((2, 2, n + 1))
+    np.cumsum(terms, axis=2, out=prefix[:, :, 1:])
+    np.cumsum(terms[:, ::-1, ::-1], axis=2, out=suffix[:, :, n - 1 :: -1])
+    num, den = prefix + suffix
+    # Upper weights on the small-x side pull the centroid down, so row 1
+    # holds the left bound and row 0 the right.  A switch with no mass is
+    # infeasible; its 0/0 is NaN, which fmin and fmax skip.  The all-upper
+    # switch always has mass.
+    with np.errstate(invalid="ignore"):
+        ratio = num / den
+    return float(np.fmin.reduce(ratio[1])), float(np.fmax.reduce(ratio[0]))
 
 
 def centroid_of_fou(

@@ -21,7 +21,15 @@ from omnitrack.kinematics import (
     integrate_pose,
     inverse_kinematics,
 )
-from omnitrack.nmpc import NmpcController, OcpConfig, OcpProblem, reference_window, rollout, solve
+from omnitrack.nmpc import (
+    NmpcController,
+    OcpConfig,
+    OcpProblem,
+    defects,
+    reference_window,
+    rollout,
+    solve,
+)
 from omnitrack.planning import astar, load_grid, plan_reference
 from omnitrack.simlab import (
     Episode,
@@ -131,7 +139,7 @@ def test_criterion_3_fuzzy_engine():
             gap = max(abs(a.dkp - b.dkp), abs(a.dki - b.dki), abs(a.dkd - b.dkd))
             assert gap <= 1e-9
 
-        # Iterative centroid interval equals exhaustive vertex enumeration.
+        # Closed-form centroid interval equals exhaustive vertex enumeration.
         for _ in range(40):
             n = int(rng.integers(2, 11))
             x = np.sort(rng.uniform(-1.0, 1.0, n))
@@ -152,7 +160,8 @@ def test_criterion_4_predictive_solver(ref30):
         for k in range(min(len(ref30), 301)):
             cmd = controller.command(pose, ref30, k)
             solution = controller.last_solution
-            assert solution.defect_norm <= 1e-6
+            x_ref, u_ref = reference_window(ref30, k, cfg.horizon)
+            assert defects(OcpProblem(pose, x_ref, u_ref), cfg, solution.w) <= 1e-6
             assert np.all(np.abs(solution.inputs[:, 0]) <= cfg.v_max)
             assert np.all(np.abs(solution.inputs[:, 1]) <= cfg.omega_max)
             pose = integrate_pose(pose, cmd, ref30.ts)

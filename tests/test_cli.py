@@ -107,16 +107,14 @@ def test_track_outputs_and_recomputable_metrics(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_track_runs_are_deterministic_and_parallel_agrees(tmp_path, capsys):
+def test_track_runs_are_deterministic(tmp_path, capsys):
     config = write_config(tmp_path, experiment={"noise": "true"})
-    outs = [tmp_path / f"out{i}" for i in range(3)]
-    for out, extra in zip(outs, ([], [], ["--parallel"])):
-        code = main(["track", "--config", str(config), "--out", str(out), *extra])
+    outs = [tmp_path / f"out{i}" for i in range(2)]
+    for out in outs:
+        code = main(["track", "--config", str(config), "--out", str(out)])
         assert code == EXIT_OK
     for name in ("run_fpid-t1.csv", "run_nmpc.csv", "metrics.csv"):
-        baseline = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == baseline
-        assert (outs[2] / name).read_bytes() == baseline
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
     rows = read_rows(outs[0] / "metrics.csv")
     assert all(row["noise"] == "true" for row in rows)
     capsys.readouterr()
@@ -199,10 +197,15 @@ def test_usage_and_config_errors_exit_with_one(tmp_path, capsys):
         ["plan", "--config", str(tmp_path / "absent.ini")],
         ["plan", "--config", str(config), "--bogus"],
         ["frobnicate", "--config", str(config)],
+        ["track", "--config", str(config), "--parallel"],  # removed option
+        # Plans and step responses are noise-free, so they take no seed.
+        ["plan", "--config", str(config), "--seed", "3"],
+        ["step", "--config", str(config), "--seed", "3"],
     ]
     for argv in cases:
-        assert main(argv) == EXIT_ERROR
-    capsys.readouterr()
+        assert main(argv) == EXIT_ERROR, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_config_validation_errors_exit_with_one(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import itertools
+import math
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from omnitrack.fuzzy import (
     DELTA_RANGE,
@@ -138,22 +142,32 @@ def test_fou_construction_and_containment():
 # ------------------------------------------------------- type reduction
 
 
+def _exact_integers(values):
+    """Integers m and one power-of-two scale s with values == m / s exactly."""
+    exact = [Fraction(float(v)) for v in values]
+    scale = max(f.denominator for f in exact)
+    return [int(f * scale) for f in exact], scale
+
+
 def brute_force_centroid_bounds(x, fl, fu):
     """Enumerate every lower/upper weight assignment (the oracle).
 
     The centroid is linear-fractional in each weight, so its extrema over
     the weight box sit at vertices; 2^n enumeration finds them exactly.
+    Exact integer arithmetic keeps tiny weights from underflowing; the
+    weights' common scale cancels in the ratio.
     """
-    best_lo, best_hi = np.inf, -np.inf
-    for choice in itertools.product((0, 1), repeat=len(x)):
-        theta = np.where(choice, fu, fl)
-        mass = theta.sum()
-        if mass <= 0.0:
-            continue
-        y = float((x * theta).sum() / mass)
-        best_lo = min(best_lo, y)
-        best_hi = max(best_hi, y)
-    return best_lo, best_hi
+    xs, x_scale = _exact_integers(x)
+    weights, _ = _exact_integers([*fl, *fu])
+    lower, upper = weights[: len(xs)], weights[len(xs) :]
+    centroids = []
+    for choice in itertools.product((0, 1), repeat=len(xs)):
+        theta = [u if c else l for c, l, u in zip(choice, lower, upper)]
+        mass = sum(theta)
+        if mass > 0:
+            num = sum(a * t for a, t in zip(xs, theta))
+            centroids.append(Fraction(num, mass * x_scale))
+    return float(min(centroids)), float(max(centroids))
 
 
 def test_centroid_bounds_match_enumeration():
@@ -168,6 +182,79 @@ def test_centroid_bounds_match_enumeration():
         assert y_left == pytest.approx(lo, abs=1e-6)
         assert y_right == pytest.approx(hi, abs=1e-6)
         assert y_left <= y_right + 1e-12
+
+
+def test_centroid_bounds_with_zero_lower_weights_match_enumeration():
+    # No lower mass: a switch is feasible only if its upper side has mass.
+    x = np.array([-0.6, -0.1, 0.2, 0.9])
+    fu = np.array([0.3, 1.0, 0.05, 0.6])
+    y_left, y_right = km_centroid(x, np.zeros(4), fu)
+    lo, hi = brute_force_centroid_bounds(x, np.zeros(4), fu)
+    assert y_left == pytest.approx(lo, abs=1e-12)
+    assert y_right == pytest.approx(hi, abs=1e-12)
+
+
+def test_centroid_bounds_with_a_light_tail_after_a_heavy_head():
+    # A tail taken as total minus prefix cancels here and misses by 4e-6.
+    x = np.array([-1.0, 0.3])
+    y_left, y_right = km_centroid(x, np.array([0.0, 3e-12]), np.array([1.0, 1e-11]))
+    assert y_right == pytest.approx(0.3, abs=1e-15)
+    assert y_left == pytest.approx((-1.0 + 0.3 * 3e-12) / (1.0 + 3e-12), abs=1e-15)
+
+
+def test_centroid_bounds_of_subnormal_weights():
+    # x * 5e-324 underflows to zero unless the weights are rescaled first.
+    x = np.array([0.25, 0.5])
+    assert km_centroid(x, np.zeros(2), np.array([0.0, 5e-324])) == (0.5, 0.5)
+
+
+weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def interval_point_sets(draw, max_size=8):
+    """Points in [-1, 1] with interval weights; zeros allowed in both bounds."""
+    n = draw(st.integers(1, max_size))
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    fu = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    share = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    assume(fu.sum() > 0.0)
+    return x, fu * share, fu
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(interval_point_sets())
+def test_centroid_bounds_property_match_enumeration(points):
+    x, fl, fu = points
+    y_left, y_right = km_centroid(x, fl, fu)
+    lo, hi = brute_force_centroid_bounds(x, fl, fu)
+    assert abs(y_left - lo) <= 1e-12
+    assert abs(y_right - hi) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(interval_point_sets(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_centroid_bounds_property_bracket_every_feasible_centroid(points, mix):
+    x, fl, fu = points
+    theta = [Fraction(float(t)) for t in fl + np.array(mix[: x.size]) * (fu - fl)]
+    assume(sum(theta) > 0)
+    y_left, y_right = km_centroid(x, fl, fu)
+    y = float(sum(Fraction(float(a)) * t for a, t in zip(x, theta)) / sum(theta))
+    assert y_left - 1e-12 <= y <= y_right + 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(interval_point_sets(), st.randoms(use_true_random=False))
+def test_centroid_bounds_property_ignore_point_order(points, random):
+    x, fl, fu = points
+    order = list(range(x.size))
+    random.shuffle(order)
+    before = km_centroid(x, fl, fu)
+    after = km_centroid(x[order], fl[order], fu[order])
+    # Tied points may sum in another order; distinct points sort alike.
+    tol = 0.0 if np.unique(x).size == x.size else 1e-12
+    assert abs(after[0] - before[0]) <= tol
+    assert abs(after[1] - before[1]) <= tol
 
 
 def test_centroid_bounds_degenerate_interval():
@@ -189,6 +276,14 @@ def test_centroid_bounds_validation():
         km_centroid(x, np.array([0.5, 0.5]), np.array([0.1, 0.5]))
     with pytest.raises(ValueError):
         km_centroid(x, np.array([-0.1, 0.5]), np.array([0.5, 0.5]))
+    # Non-finite input must not vanish into a finite bound.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            km_centroid(np.array([0.0, bad]), np.ones(2), np.ones(2))
+        with pytest.raises(ValueError):
+            km_centroid(x, np.array([0.0, bad]), np.ones(2))
+        with pytest.raises(ValueError):
+            km_centroid(x, np.zeros(2), np.array([1.0, bad]))
 
 
 def test_fou_centroid_properties():
@@ -266,6 +361,18 @@ def test_type2_outputs_stay_in_range():
             out = engine.infer(e, de)
             for value in out:
                 assert lo - 1e-12 <= value <= hi + 1e-12
+
+
+@pytest.mark.parametrize("lag", [0.6, 0.7])
+def test_type2_wide_lag_fires_no_lower_set_yet_stays_finite(lag):
+    # With lag > 0.5 the lower triangles leave gaps: at e = 0.5 no lower
+    # set fires, so the lower bound of every rule firing is zero.
+    engine = Type2Engine(lag=lag)
+    _, lower = engine.error_fou.fuzzify(0.5)
+    assert not lower.any()
+    lo, hi = DELTA_RANGE
+    for value in engine.infer(0.5, 0.0):
+        assert math.isfinite(value) and lo <= value <= hi
 
 
 def test_type2_differs_from_type1_with_uncertainty():
