@@ -69,6 +69,29 @@ class TriMf:
         return float(mu) if mu.ndim == 0 else mu
 
 
+class _TriBank:
+    """Several triangles evaluated at one scalar in one array expression.
+
+    Does per set exactly the arithmetic of :meth:`TriMf.__call__`, so the
+    memberships match a loop over the sets bit for bit.
+    """
+
+    def __init__(self, mfs):
+        corners = np.array([(mf.left, mf.apex, mf.right) for mf in mfs])
+        self.left, self.apex, self.right = corners.T
+        self.rises = self.apex > self.left
+        self.falls = self.right > self.apex
+        # A shoulder side gets a unit width so that nothing divides by
+        # zero; ``np.where`` in ``__call__`` discards that quotient.
+        self.rise_width = np.where(self.rises, self.apex - self.left, 1.0)
+        self.fall_width = np.where(self.falls, self.right - self.apex, 1.0)
+
+    def __call__(self, x: float) -> np.ndarray:
+        rise = np.where(self.rises, (x - self.left) / self.rise_width, x >= self.apex)
+        fall = np.where(self.falls, (self.right - x) / self.fall_width, x <= self.apex)
+        return np.clip(np.minimum(rise, fall), 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class FuzzyPartition:
     """Seven-set triangular partition of a closed universe.
@@ -94,6 +117,7 @@ class FuzzyPartition:
         cover = np.max([mf(probe) for mf in self.mfs], axis=0)
         if np.any(cover <= 0.0):
             raise ValueError("partition leaves part of the universe uncovered")
+        object.__setattr__(self, "_bank", _TriBank(self.mfs))
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "FuzzyPartition":
@@ -107,8 +131,7 @@ class FuzzyPartition:
 
     def fuzzify(self, x: float) -> np.ndarray:
         """Membership of x (clamped to the universe) in each of the 7 sets."""
-        x = self.clamp(x)
-        return np.array([mf(x) for mf in self.mfs])
+        return self._bank(self.clamp(x))
 
 
 @dataclass(frozen=True)
@@ -158,6 +181,11 @@ class FouPartition:
     hi: float
     mfs: tuple[FouMf, ...]
 
+    def __post_init__(self):
+        sets = [mf.umf for mf in self.mfs] + [mf.lmf for mf in self.mfs]
+        object.__setattr__(self, "_bank", _TriBank(sets))
+        object.__setattr__(self, "_heights", np.array([mf.lmf_height for mf in self.mfs]))
+
     @classmethod
     def from_t1(
         cls, partition: FuzzyPartition, height_scale: float = 1.0, lag: float = 0.3
@@ -166,11 +194,15 @@ class FouPartition:
         return cls(partition.lo, partition.hi, mfs)
 
     def fuzzify(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """Upper and lower memberships of x in each of the 7 sets."""
-        x = min(max(float(x), self.lo), self.hi)
-        upper = np.array([mf.upper(x) for mf in self.mfs])
-        lower = np.array([mf.lower(x) for mf in self.mfs])
-        return upper, lower
+        """Upper and lower memberships of x in each of the 7 sets.
+
+        The lower set is contained in the upper one, but near a shared
+        apex its membership can round one ulp above the upper one; the
+        lower membership is capped so the interval stays well formed.
+        """
+        mu = self._bank(min(max(float(x), self.lo), self.hi))
+        upper = mu[: len(self.mfs)]
+        return upper, np.minimum(self._heights * mu[len(self.mfs) :], upper)
 
 
 def _parse_label_table(rows: list[list[str]]) -> np.ndarray:
@@ -372,14 +404,24 @@ class _EngineBase:
             self.delta_partition.lo, self.delta_partition.hi, self.resolution
         )
         self.weights = _trapezoid_weights(self.grid)
-        self._tables = (self.rules.kp, self.rules.ki, self.rules.kd)
+        # _rule_labels[g, 0, l, r] is True when rule r (row-major over e, de)
+        # of gain g = kp, ki, kd fires output label l.
+        tables = np.stack([self.rules.kp, self.rules.ki, self.rules.kd]).reshape(3, 1, 1, -1)
+        self._rule_labels = tables == np.arange(len(LABELS))[:, None]
 
     @staticmethod
-    def _label_strengths(firing: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Strongest firing per output label over the 49 rules of one gain."""
-        strengths = np.zeros(len(LABELS))
-        np.maximum.at(strengths, table.ravel(), firing.ravel())
-        return strengths
+    def _check_inputs(e: float, de: float) -> None:
+        if not (math.isfinite(e) and math.isfinite(de)):
+            raise ValueError("e and de must be finite")
+
+    def _label_strengths(self, firing: np.ndarray) -> np.ndarray:
+        """Strongest firing per gain, firing table and output label.
+
+        ``firing[m]`` is one 7x7 table of rule firings; the result is
+        indexed [gain, m, label] and is zero for a label no rule fires.
+        """
+        flat = firing.reshape(len(firing), 1, -1)
+        return np.where(self._rule_labels, flat, 0.0).max(axis=-1)
 
 
 class Type1Engine(_EngineBase):
@@ -397,15 +439,14 @@ class Type1Engine(_EngineBase):
 
     def infer(self, e: float, de: float) -> GainDeltas:
         """Crisp gain increments for normalized error and error rate."""
+        self._check_inputs(e, de)
         mu_e = self.error_partition.fuzzify(e)
         mu_de = self.error_partition.fuzzify(de)
         firing = np.minimum(mu_e[:, None], mu_de[None, :])
+        strengths = self._label_strengths(firing[None])[:, 0]
+        aggregates = np.minimum(strengths[:, :, None], self._out_mfs).max(axis=1)
         deltas = []
-        for table in self._tables:
-            strengths = self._label_strengths(firing, table)
-            aggregate = np.max(
-                np.minimum(strengths[:, None], self._out_mfs), axis=0
-            )
+        for aggregate in aggregates:
             mass = self.weights @ aggregate
             if mass <= 0.0:
                 raise EmptyAggregateError("aggregated output set is empty")
@@ -437,28 +478,30 @@ class Type2Engine(_EngineBase):
         self.lag = float(lag)
         self.error_fou = FouPartition.from_t1(self.error_partition, height_scale, lag)
         self.delta_fou = FouPartition.from_t1(self.delta_partition, height_scale, lag)
-        self._out_upper = np.array([mf.upper(self.grid) for mf in self.delta_fou.mfs])
-        self._out_lower = np.array([mf.lower(self.grid) for mf in self.delta_fou.mfs])
+        self._out_sets = np.array(
+            [
+                [mf.upper(self.grid) for mf in self.delta_fou.mfs],
+                [mf.lower(self.grid) for mf in self.delta_fou.mfs],
+            ]
+        )
+        # Rounding can lift a lower membership above the upper one only
+        # within a few ulps of an apex, where ``FouPartition.fuzzify`` caps
+        # it; the output grid must not hit such a point.
+        if np.any(self._out_sets[1] > self._out_sets[0]):
+            raise ValueError("lower output set exceeds the upper set on the grid")
 
     def infer(self, e: float, de: float) -> GainDeltas:
         """Crisp gain increments for normalized error and error rate."""
-        ue, le = self.error_fou.fuzzify(e)
-        ud, ld = self.error_fou.fuzzify(de)
-        firing_upper = np.minimum(ue[:, None], ud[None, :])
-        firing_lower = np.minimum(le[:, None], ld[None, :])
+        self._check_inputs(e, de)
+        mu_e = np.stack(self.error_fou.fuzzify(e))
+        mu_de = np.stack(self.error_fou.fuzzify(de))
+        firing = np.minimum(mu_e[:, :, None], mu_de[:, None, :])  # [upper/lower, e, de]
+        strengths = self._label_strengths(firing)  # [gain, upper/lower, label]
+        aggregates = np.minimum(strengths[..., None], self._out_sets).max(axis=2)
+        weighted = self.weights * aggregates
         deltas = []
-        for table in self._tables:
-            s_upper = self._label_strengths(firing_upper, table)
-            s_lower = self._label_strengths(firing_lower, table)
-            agg_upper = np.max(
-                np.minimum(s_upper[:, None], self._out_upper), axis=0
-            )
-            agg_lower = np.max(
-                np.minimum(s_lower[:, None], self._out_lower), axis=0
-            )
-            y_left, y_right = km_centroid(
-                self.grid, self.weights * agg_lower, self.weights * agg_upper
-            )
+        for upper, lower in weighted:
+            y_left, y_right = km_centroid(self.grid, lower, upper)
             deltas.append(float(0.5 * (y_left + y_right)))
         return GainDeltas(*deltas)
 

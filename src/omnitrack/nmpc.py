@@ -130,17 +130,16 @@ def predict(pose: RobotPose, u, ts: float) -> RobotPose:
 
 def rollout(x0: np.ndarray, inputs: np.ndarray, ts: float) -> np.ndarray:
     """States visited by the unicycle under an input sequence."""
-    inputs = np.asarray(inputs, dtype=float)
-    states = np.empty((inputs.shape[0] + 1, 3))
-    states[0] = x0
-    for k, (v, omega) in enumerate(inputs):
-        x, y, theta = states[k]
-        states[k + 1] = (
+    x, y, theta = np.asarray(x0, dtype=float).tolist()
+    states = [(x, y, theta)]
+    for v, omega in np.asarray(inputs, dtype=float).tolist():
+        x, y, theta = (
             x + ts * v * math.cos(theta),
             y + ts * v * math.sin(theta),
             wrap_angle(theta + ts * omega),
         )
-    return states
+        states.append((x, y, theta))
+    return np.array(states)
 
 
 def ocp_cost(problem: OcpProblem, config: OcpConfig, w: np.ndarray) -> float:
@@ -182,6 +181,14 @@ class _Condensed:
         self.x0 = problem.initial_state.as_array()
         self.sq = np.sqrt(np.asarray(config.q_diag))
         self.sr = np.sqrt(np.asarray(config.r_diag))
+        # The heading rows and the input rows of the Jacobian are constant.
+        n, ts = problem.horizon, config.ts
+        self._before = np.tri(n, dtype=bool)  # [k - 1, j]: input j acts before state k
+        rows = 3 * (n + 1)
+        self._jac = np.zeros((rows + 2 * n, 2 * n))
+        blocks = self._jac[3:rows].reshape(n, 3, n, 2)  # [k - 1, state, j, input]
+        blocks[:, 2, :, 1] = self.sq[2] * np.where(self._before, ts, 0.0)
+        self._jac[rows:] = np.diag(np.tile(self.sr, n))
 
     def residual(self, u_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.problem.horizon
@@ -195,31 +202,27 @@ class _Condensed:
         return r, states
 
     def jacobian(self, u_flat: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Chain-rule sensitivities of all residual rows w.r.t. inputs."""
+        """Chain-rule sensitivities of all residual rows w.r.t. inputs.
+
+        With the unicycle step, for j < k: d theta_k / d omega_j = ts,
+        d (x, y)_k / d v_j = ts (cos, sin) theta_j, and
+        d (x, y)_k / d omega_j = sum over j < i < k of
+        ts^2 v_i (-sin, cos) theta_i; every other entry is zero.
+        """
         n = self.problem.horizon
         ts = self.config.ts
-        inputs = u_flat.reshape(n, 2)
-        jac = np.zeros((3 * (n + 1) + 2 * n, 2 * n))
-        sens = np.zeros((3, 2 * n))  # d x_k / d u, updated along the rollout
-        for k in range(n):
-            theta = states[k, 2]
-            v = inputs[k, 0]
-            a = np.array(
-                [
-                    [1.0, 0.0, -ts * v * math.sin(theta)],
-                    [0.0, 1.0, ts * v * math.cos(theta)],
-                    [0.0, 0.0, 1.0],
-                ]
-            )
-            sens = a @ sens
-            sens[0, 2 * k] += ts * math.cos(theta)
-            sens[1, 2 * k] += ts * math.sin(theta)
-            sens[2, 2 * k + 1] += ts
-            jac[3 * (k + 1) : 3 * (k + 2)] = self.sq[:, None] * sens
-        rows = 3 * (n + 1)
-        for k in range(n):
-            jac[rows + 2 * k, 2 * k] = self.sr[0]
-            jac[rows + 2 * k + 1, 2 * k + 1] = self.sr[1]
+        theta = states[:n, 2]
+        cos, sin = np.cos(theta), np.sin(theta)
+        jac = self._jac.copy()
+        blocks = jac[3 : 3 * (n + 1)].reshape(n, 3, n, 2)
+        sq = self.sq[:2, None]
+        drive = sq * (ts * np.array([cos, sin]))
+        blocks[:, :2, :, 0] = np.where(self._before[:, None], drive, 0.0)
+        # Row j, column m of the running sums adds the turn terms of steps
+        # j < i <= m in step order, as the rollout does; state k reads m = k - 1.
+        turn = ts * u_flat[0::2] * np.array([-sin, cos]) * ts
+        sums = np.cumsum(np.where(~self._before, turn[:, None], 0.0), axis=2)
+        blocks[:, :2, :, 1] = (sq[:, None] * sums).transpose(2, 0, 1)
         return jac
 
 

@@ -139,6 +139,69 @@ def test_fou_construction_and_containment():
         FouMf.from_umf(umf, height_scale=0.0)
 
 
+def shouldered_partition():
+    """Non-uniform partition whose end sets are shoulders (apex on a foot)."""
+    apexes = (-1.0, -0.6, -0.25, 0.05, 0.3, 0.7, 1.0)
+    mfs = [TriMf(-1.0, -1.0, -0.6)]
+    mfs += [TriMf(a, b, c) for a, b, c in zip(apexes, apexes[1:], apexes[2:])]
+    mfs += [TriMf(0.7, 1.0, 1.0)]
+    return FuzzyPartition(-1.0, 1.0, tuple(mfs))
+
+
+def membership_probes(partition, seed=0):
+    """Every set corner, points just beside them, and seeded uniform draws."""
+    corners = {c for mf in partition.mfs for c in (mf.left, mf.apex, mf.right)}
+    probes = set(corners)
+    for c in corners:
+        probes.update((math.nextafter(c, -math.inf), math.nextafter(c, math.inf)))
+    probes.update(np.random.default_rng(seed).uniform(-1.3, 1.3, 300).tolist())
+    return sorted(probes)
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [FuzzyPartition.uniform(-1.0, 1.0), shouldered_partition()],
+    ids=["uniform", "shouldered"],
+)
+def test_fuzzify_equals_one_membership_call_per_set(partition):
+    for x in membership_probes(partition):
+        clamped = min(max(x, partition.lo), partition.hi)
+        expected = np.array([mf(clamped) for mf in partition.mfs])
+        assert partition.fuzzify(x).tobytes() == expected.tobytes(), x
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [FuzzyPartition.uniform(-1.0, 1.0), shouldered_partition()],
+    ids=["uniform", "shouldered"],
+)
+@pytest.mark.parametrize("height_scale, lag", [(1.0, 0.3), (0.8, 0.45), (0.6, 0.0)])
+def test_fou_fuzzify_equals_one_membership_call_per_set(partition, height_scale, lag):
+    fou = FouPartition.from_t1(partition, height_scale, lag)
+    for x in membership_probes(partition, seed=1):
+        clamped = min(max(x, fou.lo), fou.hi)
+        upper = np.array([mf.upper(clamped) for mf in fou.mfs])
+        lower = np.array([mf.lower(clamped) for mf in fou.mfs])
+        got_upper, got_lower = fou.fuzzify(x)
+        assert got_upper.tobytes() == upper.tobytes(), x
+        assert got_lower.tobytes() == np.minimum(lower, upper).tobytes(), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(
+        st.floats(min_value=-1e-15, max_value=1e-15),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    height_scale=st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0)),
+    lag=st.one_of(st.just(0.3), st.floats(min_value=0.0, max_value=0.99)),
+)
+def test_fou_lower_never_exceeds_upper(x, height_scale, lag):
+    fou = FouPartition.from_t1(FuzzyPartition.uniform(-1.0, 1.0), height_scale, lag)
+    upper, lower = fou.fuzzify(x)
+    assert np.all(lower >= 0.0) and np.all(lower <= upper)
+
+
 # ------------------------------------------------------- type reduction
 
 
@@ -402,6 +465,110 @@ def test_engine_inputs_expect_normalized_scale():
     assert engine.error_partition.hi == hi
     # Out-of-range inputs clamp rather than fail.
     assert engine.infer(50.0, -50.0) == engine.infer(hi, lo)
+
+
+def test_type2_input_next_to_the_zero_apex_does_not_crash():
+    # Here the ZO lower membership rounded one ulp above the upper one,
+    # and km_centroid rejected the ill-formed interval.
+    engine = Type2Engine()
+    out = engine.infer(3.5381555418772973e-17, 9.792179086168456e-18)
+    lo, hi = DELTA_RANGE
+    assert all(lo <= value <= hi for value in out)
+    # About one in a hundred inputs this close to the apex rounded so.
+    for x in np.random.default_rng(3).uniform(-1e-15, 1e-15, 2000):
+        upper, lower = engine.error_fou.fuzzify(x)
+        assert np.all(lower <= upper), x
+
+
+@pytest.mark.parametrize("engine_class", [Type1Engine, Type2Engine])
+@pytest.mark.parametrize(
+    "e, de", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
+)
+def test_engines_reject_non_finite_inputs(engine_class, e, de):
+    with pytest.raises(ValueError, match="e and de must be finite"):
+        engine_class().infer(e, de)
+
+
+def reference_infer(engine, e, de):
+    """The engines' inference as a loop: one membership call per set and
+    one ``np.maximum.at`` per gain table and firing bound."""
+
+    def clamp(x):
+        return min(max(float(x), engine.error_partition.lo), engine.error_partition.hi)
+
+    def strengths(firing, table):
+        out = np.zeros(len(LABELS))
+        np.maximum.at(out, table.ravel(), firing.ravel())
+        return out
+
+    def aggregate(firing, table, out_sets):
+        s = strengths(firing, table)
+        return np.max(np.minimum(s[:, None], out_sets), axis=0)
+
+    tables = (engine.rules.kp, engine.rules.ki, engine.rules.kd)
+    grid, weights = engine.grid, engine.weights
+    if isinstance(engine, Type1Engine):
+        mu_e = np.array([mf(clamp(e)) for mf in engine.error_partition.mfs])
+        mu_de = np.array([mf(clamp(de)) for mf in engine.error_partition.mfs])
+        firing = np.minimum(mu_e[:, None], mu_de[None, :])
+        out_sets = np.array([mf(grid) for mf in engine.delta_partition.mfs])
+        deltas = []
+        for table in tables:
+            agg = aggregate(firing, table, out_sets)
+            deltas.append(float((weights * agg) @ grid / (weights @ agg)))
+        return GainDeltas(*deltas)
+
+    def fou(x):
+        upper = np.array([mf.upper(clamp(x)) for mf in engine.error_fou.mfs])
+        lower = np.array([mf.lower(clamp(x)) for mf in engine.error_fou.mfs])
+        return upper, np.minimum(lower, upper)
+
+    (ue, le), (ud, ld) = fou(e), fou(de)
+    firing_upper = np.minimum(ue[:, None], ud[None, :])
+    firing_lower = np.minimum(le[:, None], ld[None, :])
+    out_upper = np.array([mf.upper(grid) for mf in engine.delta_fou.mfs])
+    out_lower = np.array([mf.lower(grid) for mf in engine.delta_fou.mfs])
+    deltas = []
+    for table in tables:
+        y_left, y_right = km_centroid(
+            grid,
+            weights * aggregate(firing_lower, table, out_lower),
+            weights * aggregate(firing_upper, table, out_upper),
+        )
+        deltas.append(float(0.5 * (y_left + y_right)))
+    return GainDeltas(*deltas)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        Type1Engine(),
+        Type1Engine(error_partition=shouldered_partition()),
+        Type2Engine(),
+        Type2Engine(error_partition=shouldered_partition(), height_scale=0.8, lag=0.6),
+    ],
+    ids=["t1", "t1-shouldered", "it2", "it2-shouldered-wide-lag"],
+)
+def test_engines_equal_the_per_table_reference_loop(engine):
+    rng = np.random.default_rng(47)
+    inputs = rng.uniform(-1.3, 1.3, (500, 2)).tolist()
+    inputs += [[0.0, 0.0], [1.0, -1.0], [1 / 3, -2 / 3], [0.05, 0.3]]
+    for e, de in inputs:
+        assert engine.infer(e, de) == reference_infer(engine, e, de), (e, de)
+
+
+_ENGINES = (Type1Engine(), Type2Engine())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    e=st.floats(allow_nan=False, allow_infinity=False),
+    de=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_engine_deltas_stay_inside_the_increment_universe(e, de):
+    lo, hi = DELTA_RANGE
+    for engine in _ENGINES:
+        assert all(lo <= value <= hi for value in engine.infer(e, de))
 
 
 def test_control_surface_dump(tmp_path):

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from omnitrack.kinematics import (
     BodyVelocity,
@@ -34,6 +37,29 @@ def test_wrap_angle_idempotent():
     assert wrap_angle(once) == pytest.approx(once, abs=1e-12)
 
 
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(min_value=-(10**15), max_value=10**15),
+    st.integers(min_value=-1000, max_value=1000).map(lambda k: k * math.pi),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 5e-324, -5e-324]),
+)
+
+
+@given(ANGLES)
+def test_wrap_angle_scalar_property(angle):
+    wrapped = wrap_angle(angle)
+    assert type(wrapped) is float
+    # The scalar path rounds exactly as the array path does.
+    assert bits(wrapped) == bits(wrap_angle(np.array(angle, dtype=float)))
+    assert -math.pi < wrapped <= math.pi
+    assert bits(wrap_angle(wrapped)) == bits(wrapped)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         OmniGeometry(body_radius=0.0)
@@ -52,6 +78,10 @@ def test_wheel_matrix_shape_and_rows():
     geom = OmniGeometry()
     mat = wheel_matrix(geom)
     assert mat.shape == (4, 3)
+    # Built once per geometry and shared, so callers cannot alter it.
+    assert wheel_matrix(OmniGeometry()) is mat
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
     for i, angle in enumerate(geom.wheel_angles):
         row = np.array(
             [-math.sin(angle), math.cos(angle), geom.body_radius]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnitrack.kinematics import RobotPose, integrate_pose, wrap_angle
 from omnitrack.nmpc import (
@@ -15,6 +17,7 @@ from omnitrack.nmpc import (
     reference_window,
     rollout,
     solve,
+    _Condensed,
 )
 from omnitrack.planning import ReferenceTrajectory
 
@@ -101,6 +104,103 @@ def zooming_grid_search(problem, config, rounds=40, pts=9):
         center = best_u
         span = span * (4.0 / (pts - 1))  # keep two old cells around the best
     return best_u, best_c
+
+
+def recursive_jacobian(model, u_flat, states):
+    """Residual Jacobian by the forward sensitivity recursion
+    S_{k+1} = A_k S_k + B_k along the rollout, one step at a time."""
+    n = model.problem.horizon
+    ts = model.config.ts
+    inputs = u_flat.reshape(n, 2)
+    jac = np.zeros((3 * (n + 1) + 2 * n, 2 * n))
+    sens = np.zeros((3, 2 * n))
+    for k in range(n):
+        theta, v = states[k, 2], inputs[k, 0]
+        a = np.array(
+            [
+                [1.0, 0.0, -ts * v * math.sin(theta)],
+                [0.0, 1.0, ts * v * math.cos(theta)],
+                [0.0, 0.0, 1.0],
+            ]
+        )
+        sens = a @ sens
+        sens[0, 2 * k] += ts * math.cos(theta)
+        sens[1, 2 * k] += ts * math.sin(theta)
+        sens[2, 2 * k + 1] += ts
+        jac[3 * (k + 1) : 3 * (k + 2)] = model.sq[:, None] * sens
+    rows = 3 * (n + 1)
+    for k in range(n):
+        jac[rows + 2 * k, 2 * k] = model.sr[0]
+        jac[rows + 2 * k + 1, 2 * k + 1] = model.sr[1]
+    return jac
+
+
+def random_condensed(rng, horizon):
+    """A condensed model near a random reference, with its input point."""
+    cfg = OcpConfig(
+        horizon=horizon,
+        q_diag=tuple(rng.uniform(0.5, 20.0, 3)),
+        r_diag=tuple(rng.uniform(0.1, 2.0, 2)),
+    )
+    u = rng.uniform([-1.5, -3.0], [1.5, 3.0], (horizon, 2))
+    x0 = rng.uniform([-1.0, -1.0, -math.pi], [1.0, 1.0, math.pi])
+    x_ref = rollout(x0, u, cfg.ts)
+    x_ref[:, :2] += rng.normal(0.0, 0.3, (horizon + 1, 2))
+    u_ref = u + rng.normal(0.0, 0.3, (horizon, 2))
+    problem = OcpProblem(RobotPose(*x0), x_ref, u_ref)
+    return _Condensed(problem, cfg), (u + rng.normal(0.0, 0.2, u.shape)).ravel()
+
+
+def test_rollout_equals_repeated_prediction():
+    rng = np.random.default_rng(13)
+    for horizon in (0, 1, 2, 15, 20):
+        poses = [RobotPose(*rng.uniform([-1.0, -1.0, -math.pi], [1.0, 1.0, math.pi]))]
+        x0 = poses[0].as_array()
+        inputs = rng.uniform([-1.5, -3.0], [1.5, 3.0], (horizon, 2))
+        for u in inputs:
+            poses.append(predict(poses[-1], u, 0.1))
+        expected = np.array([pose.as_array() for pose in poses])
+        assert rollout(x0, inputs, 0.1).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 15, 20])
+def test_jacobian_matches_central_differences_and_the_recursion(horizon):
+    rng = np.random.default_rng(horizon)
+    step = 1e-6
+    for _ in range(10):
+        model, u = random_condensed(rng, horizon)
+        r, states = model.residual(u)
+        jac = model.jacobian(u, states)
+        assert jac.shape == (r.size, u.size)
+        np.testing.assert_allclose(
+            jac, recursive_jacobian(model, u, states), rtol=0.0, atol=1e-15
+        )
+        fd = np.empty_like(jac)
+        for i in range(u.size):
+            du = np.zeros(u.size)
+            du[i] = step
+            fd[:, i] = (model.residual(u + du)[0] - model.residual(u - du)[0]) / (2 * step)
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    horizon=st.integers(min_value=1, max_value=6),
+    offset=st.tuples(
+        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-math.pi, math.pi)
+    ),
+    speed=st.floats(-3.0, 3.0),
+    turn=st.floats(-6.0, 6.0),
+    warm=st.booleans(),
+)
+def test_solver_inputs_stay_inside_the_box(horizon, offset, speed, turn, warm):
+    cfg = OcpConfig(horizon=horizon, v_max=1.0, omega_max=2.0)
+    u_ref = np.tile([speed, turn], (horizon, 1))
+    x_ref = rollout(np.zeros(3), u_ref, cfg.ts)
+    problem = OcpProblem(RobotPose(*offset), x_ref, u_ref)
+    solution = solve(problem, cfg, warm_start=u_ref.ravel() if warm else None)
+    assert np.all(np.abs(solution.inputs[0]) <= [cfg.v_max, cfg.omega_max])
+    assert np.all(np.abs(solution.inputs) <= [cfg.v_max, cfg.omega_max])
 
 
 # -------------------------------------------------------------- solver
