@@ -4,8 +4,9 @@ A 7-label rule base maps normalized error and error rate to small PID
 gain increments in [-0.1, 0.1].  The type-1 engine uses max-min
 inference with centroid defuzzification; the interval type-2 engine
 blurs every membership function into a footprint of uncertainty and
-type-reduces with the Karnik-Mendel iteration, which buys smoother
-gain adjustments when the inputs are noisy.
+type-reduces to the exact Karnik-Mendel centroid interval (a closed
+form, no iteration), which buys smoother gain adjustments when the
+inputs are noisy.
 """
 
 from pathlib import Path

@@ -71,7 +71,7 @@ print("  the predictive lateral step parks short of the target: inside "
 
 # --- horizon sweep ------------------------------------------------------
 horizons = [1, 5, 10, 15, 20]
-rows = horizon_sweep(ref20, horizons)
+rows = horizon_sweep(Episode(trajectory=ref20, controller="nmpc"), horizons)
 print("\nprediction-window sweep on the 20 s scenario:")
 for horizon, metrics in rows:
     print(f"  Np = {horizon:>2}: me_xy = {metrics.me_xy:.4f} m")

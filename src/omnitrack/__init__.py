@@ -35,12 +35,9 @@ from omnitrack.planning import (
     ReferenceTrajectory,
     SmoothPath,
     astar,
-    inflate,
     load_grid,
     plan_reference,
-    read_trajectory_csv,
     sample_reference,
-    save_grid,
     smooth,
     write_trajectory_csv,
 )
@@ -101,12 +98,9 @@ __all__ = [
     "ReferenceTrajectory",
     "SmoothPath",
     "astar",
-    "inflate",
     "load_grid",
     "plan_reference",
-    "read_trajectory_csv",
     "sample_reference",
-    "save_grid",
     "smooth",
     "write_trajectory_csv",
     "FouPartition",

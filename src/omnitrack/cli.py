@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import shutil
 import sys
 import configparser
@@ -49,6 +50,7 @@ from .simlab import (
     STEP_AXES,
     Episode,
     NoiseModel,
+    horizon_sweep,
     run_episode,
     run_step_response,
     tracking_metrics,
@@ -180,8 +182,8 @@ def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
         noise = exp.getboolean("noise", False)
     except ValueError as err:
         raise CliError(f"bad value in [experiment]: {err}") from None
-    if not ts > 0.0 or not total_time > ts:
-        raise CliError("[experiment] requires total_time > ts > 0")
+    if not 0.0 < ts < total_time < math.inf:
+        raise CliError("[experiment] requires finite total_time > ts > 0")
 
     controllers = [
         c.strip() for c in exp.get("controllers", "").split(",") if c.strip()
@@ -404,29 +406,23 @@ def cmd_horizon(args) -> int:
         else config.np_values
     )
     base = config.controller_configs.get("nmpc") or OcpConfig(ts=config.ts)
-    try:
-        configs = [dataclasses.replace(base, horizon=h) for h in np_values]
+    try:  # OcpConfig checks each horizon before anything is planned
+        for h in np_values:
+            dataclasses.replace(base, horizon=h)
     except ValueError as err:
         raise CliError(f"invalid horizon value: {err}") from None
     grid, (path, curve, trajectory) = _plan(config)
-    episodes = [
-        Episode(
-            trajectory=trajectory,
-            controller="nmpc",
-            controller_config=cfg,
-            noise=NoiseModel() if config.noise else None,
-            seed=config.seed,
-        )
-        for cfg in configs
-    ]
-    for episode in episodes:
-        run_episode(episode)
+    template = Episode(
+        trajectory=trajectory,
+        controller="nmpc",
+        controller_config=base,
+        noise=NoiseModel() if config.noise else None,
+        seed=config.seed,
+    )
+    rows = horizon_sweep(template, np_values)
 
     out = _prepare_outdir(args, config, "horizon")
-    rows = []
-    for horizon, episode in zip(np_values, episodes):
-        metrics = tracking_metrics(episode.log)
-        rows.append((horizon, metrics))
+    for horizon, metrics in rows:
         print(
             f"horizon[{horizon}]: me_xy={metrics.me_xy:.4f} m, "
             f"mae_theta={metrics.mae_theta:.4f} rad"

@@ -11,7 +11,7 @@ to the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from omnitrack.fuzzy import Type1Engine, Type2Engine
 from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
@@ -37,10 +37,6 @@ class PidState:
         for g in (self.kp, self.ki, self.kd):
             if not 0.0 <= g <= self.k_max:
                 raise ValueError("initial gains must lie in [0, k_max]")
-
-    def reset(self) -> None:
-        self.integral = 0.0
-        self.prev_error = 0.0
 
 
 @dataclass(frozen=True)
@@ -132,6 +128,11 @@ class FpidConfig:
             raise ValueError("engine must be 't1' or 'it2'")
         if not self.v_max > 0.0 or not self.omega_max > 0.0:
             raise ValueError("velocity bounds must be positive")
+        for name in ("dist_norm", "head_norm", "de_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.threshold < math.inf:
+            raise ValueError("threshold must be non-negative and finite")
 
     def build_engine(self):
         if self.engine == "it2":
@@ -152,15 +153,6 @@ class FuzzyPidController:
     def __init__(self, config: FpidConfig | None = None, engine=None):
         self.config = config if config is not None else FpidConfig()
         self.engine = engine if engine is not None else self.config.build_engine()
-        cfg = self.config
-        self.distance = PidState(
-            cfg.dist_kp, cfg.dist_ki, cfg.dist_kd, cfg.k_max, cfg.i_max
-        )
-        self.heading = PidState(
-            cfg.head_kp, cfg.head_ki, cfg.head_kd, cfg.k_max, cfg.i_max
-        )
-
-    def reset(self) -> None:
         cfg = self.config
         self.distance = PidState(
             cfg.dist_kp, cfg.dist_ki, cfg.dist_kd, cfg.k_max, cfg.i_max

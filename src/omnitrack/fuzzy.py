@@ -10,7 +10,6 @@ upper set) makes the type-2 engine reproduce the type-1 engine exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -241,8 +240,6 @@ _KD_RULES = [
     ["PB", "PM", "PM", "PM", "PS", "PS", "PB"],
 ]
 
-RULES_HEADER = ["e", "de", "kp", "ki", "kd"]
-
 
 @dataclass(frozen=True)
 class RuleBase:
@@ -268,48 +265,6 @@ class RuleBase:
             _parse_label_table(_KI_RULES),
             _parse_label_table(_KD_RULES),
         )
-
-    def tables(self) -> dict[str, np.ndarray]:
-        return {"kp": self.kp, "ki": self.ki, "kd": self.kd}
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RULES_HEADER)
-            for i, e_label in enumerate(LABELS):
-                for j, de_label in enumerate(LABELS):
-                    writer.writerow(
-                        [
-                            e_label,
-                            de_label,
-                            LABELS[self.kp[i, j]],
-                            LABELS[self.ki[i, j]],
-                            LABELS[self.kd[i, j]],
-                        ]
-                    )
-
-    @classmethod
-    def from_csv(cls, path) -> "RuleBase":
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != RULES_HEADER:
-                raise ValueError("unexpected rule file header")
-            rows = list(reader)
-        if len(rows) != 49:
-            raise ValueError(f"expected 49 rules, found {len(rows)}")
-        tables = {g: np.full((7, 7), -1, dtype=np.int8) for g in ("kp", "ki", "kd")}
-        for row in rows:
-            e, de, kp, ki, kd = row
-            i, j = LABEL_INDEX[e], LABEL_INDEX[de]
-            if tables["kp"][i, j] != -1:
-                raise ValueError(f"duplicate rule for ({e}, {de})")
-            tables["kp"][i, j] = LABEL_INDEX[kp]
-            tables["ki"][i, j] = LABEL_INDEX[ki]
-            tables["kd"][i, j] = LABEL_INDEX[kd]
-        if any(t.min() < 0 for t in tables.values()):
-            raise ValueError("rule file does not cover all 49 label pairs")
-        return cls(tables["kp"], tables["ki"], tables["kd"])
 
 
 def km_centroid(
@@ -366,15 +321,6 @@ def km_centroid(
     return float(np.fmin.reduce(ratio[1])), float(np.fmax.reduce(ratio[0]))
 
 
-def centroid_of_fou(
-    fou: FouMf, lo: float, hi: float, resolution: int = DEFAULT_RESOLUTION
-) -> tuple[float, float]:
-    """Centroid interval of one interval type-2 set over [lo, hi]."""
-    grid = np.linspace(lo, hi, resolution)
-    weights = _trapezoid_weights(grid)
-    return km_centroid(grid, weights * fou.lower(grid), weights * fou.upper(grid))
-
-
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     dx = grid[1] - grid[0]
     w = np.full(grid.size, dx)
@@ -385,10 +331,10 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 class _EngineBase:
     """Shared discretization and rule routing for both engines."""
 
-    def __init__(self, rules, error_partition, delta_partition, resolution):
+    def __init__(self, error_partition, delta_partition, resolution):
         if resolution < 3:
             raise ValueError("resolution must be at least 3")
-        self.rules = rules if rules is not None else RuleBase.default()
+        self.rules = RuleBase.default()
         self.error_partition = (
             error_partition
             if error_partition is not None
@@ -429,12 +375,11 @@ class Type1Engine(_EngineBase):
 
     def __init__(
         self,
-        rules: RuleBase | None = None,
         error_partition: FuzzyPartition | None = None,
         delta_partition: FuzzyPartition | None = None,
         resolution: int = DEFAULT_RESOLUTION,
     ):
-        super().__init__(rules, error_partition, delta_partition, resolution)
+        super().__init__(error_partition, delta_partition, resolution)
         self._out_mfs = np.array([mf(self.grid) for mf in self.delta_partition.mfs])
 
     def infer(self, e: float, de: float) -> GainDeltas:
@@ -466,14 +411,13 @@ class Type2Engine(_EngineBase):
 
     def __init__(
         self,
-        rules: RuleBase | None = None,
         error_partition: FuzzyPartition | None = None,
         delta_partition: FuzzyPartition | None = None,
         height_scale: float = 1.0,
         lag: float = 0.3,
         resolution: int = DEFAULT_RESOLUTION,
     ):
-        super().__init__(rules, error_partition, delta_partition, resolution)
+        super().__init__(error_partition, delta_partition, resolution)
         self.height_scale = float(height_scale)
         self.lag = float(lag)
         self.error_fou = FouPartition.from_t1(self.error_partition, height_scale, lag)
@@ -504,18 +448,3 @@ class Type2Engine(_EngineBase):
             y_left, y_right = km_centroid(self.grid, lower, upper)
             deltas.append(float(0.5 * (y_left + y_right)))
         return GainDeltas(*deltas)
-
-
-def write_control_surface(engine, path, resolution: int = 41) -> None:
-    """Dump the engine's gain-increment surface on a uniform input grid."""
-    lo, hi = engine.error_partition.lo, engine.error_partition.hi
-    axis = np.linspace(lo, hi, resolution)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["e", "de", "dkp", "dki", "dkd"])
-        for e in axis:
-            for de in axis:
-                out = engine.infer(e, de)
-                writer.writerow(
-                    [repr(float(e)), repr(float(de)), repr(out.dkp), repr(out.dki), repr(out.dkd)]
-                )

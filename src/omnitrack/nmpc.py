@@ -55,8 +55,8 @@ class OcpConfig:
         self.r_diag = tuple(float(v) for v in self.r_diag)
         if len(self.q_diag) != 3 or len(self.r_diag) != 2:
             raise ValueError("q_diag must have 3 entries, r_diag 2")
-        if any(v < 0.0 for v in self.q_diag + self.r_diag):
-            raise ValueError("weights must be non-negative")
+        if not all(0.0 <= v < math.inf for v in self.q_diag + self.r_diag):
+            raise ValueError("weights must be non-negative and finite")
         if not self.v_max > 0.0 or not self.omega_max > 0.0:
             raise ValueError("input bounds must be positive")
         if not self.kkt_tolerance > 0.0:
@@ -140,22 +140,6 @@ def rollout(x0: np.ndarray, inputs: np.ndarray, ts: float) -> np.ndarray:
         )
         states.append((x, y, theta))
     return np.array(states)
-
-
-def ocp_cost(problem: OcpProblem, config: OcpConfig, w: np.ndarray) -> float:
-    """Quadratic tracking cost of a stacked decision vector."""
-    n = problem.horizon
-    w = np.asarray(w, dtype=float)
-    if w.shape != (5 * n + 3,):
-        raise DimensionMismatchError(f"w must have {5 * n + 3} entries")
-    inputs = w[: 2 * n].reshape(n, 2)
-    states = w[2 * n :].reshape(n + 1, 3)
-    q = np.asarray(config.q_diag)
-    r = np.asarray(config.r_diag)
-    ex = states - problem.x_ref
-    ex[:, 2] = wrap_angle(ex[:, 2])
-    eu = inputs - problem.u_ref
-    return float(np.sum(ex * ex * q) + np.sum(eu * eu * r))
 
 
 def defects(problem: OcpProblem, config: OcpConfig, w: np.ndarray) -> float:
@@ -406,9 +390,6 @@ class NmpcController:
     def __init__(self, config: OcpConfig | None = None):
         self.config = config if config is not None else OcpConfig()
         self.last_solution: OcpSolution | None = None
-
-    def reset(self) -> None:
-        self.last_solution = None
 
     def command(
         self, robot: RobotPose, trajectory: ReferenceTrajectory, k: int

@@ -120,29 +120,6 @@ def load_grid(path) -> OccupancyGrid:
     return OccupancyGrid(cells, resolution)
 
 
-def save_grid(grid: OccupancyGrid, path) -> None:
-    """Write a grid map file (inverse of :func:`load_grid`)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{grid.width} {grid.height} {grid.resolution!r}\n")
-        for row in range(grid.height - 1, -1, -1):
-            fh.write("".join(str(int(v)) for v in grid.cells[row]) + "\n")
-
-
-def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
-    """Dilate obstacles by ceil(radius / resolution) cells (square kernel)."""
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
-    steps = math.ceil(radius / grid.resolution)
-    # The square kernel is separable: OR the shifted rows, then the
-    # shifted columns, of a copy padded with free cells.
-    height, width = grid.cells.shape
-    padded = np.pad(grid.cells.astype(bool), steps)
-    shifts = range(2 * steps + 1)
-    rows = np.logical_or.reduce([padded[k : k + height] for k in shifts])
-    grown = np.logical_or.reduce([rows[:, k : k + width] for k in shifts])
-    return OccupancyGrid(grown.astype(np.uint8), grid.resolution, grid.origin)
-
-
 @dataclass
 class GridPath:
     """Sequence of 4-connected free cells from start to goal, inclusive."""
@@ -559,20 +536,6 @@ def write_trajectory_csv(trajectory: ReferenceTrajectory, path) -> None:
                     repr(float(trajectory.omega_ref[n])),
                 ]
             )
-
-
-def read_trajectory_csv(path) -> ReferenceTrajectory:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRAJECTORY_HEADER:
-            raise ValueError("unexpected trajectory header")
-        rows = [[float(v) for v in row] for row in reader]
-    if len(rows) < 2:
-        raise ValueError("trajectory must hold at least two rows")
-    data = np.array(rows)
-    ts = data[1, 1] - data[0, 1]
-    return ReferenceTrajectory(ts, data[:, 2:5], data[:, 5], data[:, 6])
 
 
 def plan_reference(

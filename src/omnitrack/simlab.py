@@ -44,14 +44,6 @@ STEP_DURATION = 10.0
 STEP_AXES = ("x", "y", "theta")
 
 
-class SimulationError(Exception):
-    """Base class for lab-level failures."""
-
-
-class NotSettledError(SimulationError):
-    """Step response never stays inside the settling band."""
-
-
 @dataclass
 class NoiseModel:
     """Feedback-path noise: uniform draw scaled by a slow sine envelope.
@@ -283,13 +275,9 @@ def _constant_trajectory(target: RobotPose, duration: float, ts: float) -> Refer
 
 
 def run_step_response(
-    controller: str,
-    controller_config: object = None,
-    geometry: OmniGeometry | None = None,
-    duration: float = STEP_DURATION,
-    ts: float = 0.1,
+    controller: str, controller_config: object = None, ts: float = 0.1
 ) -> dict[str, tuple[StepMetrics, Episode]]:
-    """Unit step on each axis from rest at the origin.
+    """Unit step on each axis from rest at the origin, for STEP_DURATION s.
 
     Targets are (1, 0, 0), (0, 1, 0) and (0, 0, 1 rad); the response is
     the matching true-pose component.  Returns per-axis metrics with the
@@ -302,12 +290,11 @@ def run_step_response(
     }
     results = {}
     for axis, target in targets.items():
-        traj = _constant_trajectory(target, duration, ts)
+        traj = _constant_trajectory(target, STEP_DURATION, ts)
         episode = Episode(
             trajectory=traj,
             controller=controller,
             controller_config=controller_config,
-            geometry=geometry or OmniGeometry(),
             noise=None,
             seed=0,
             initial_pose=RobotPose(0.0, 0.0, 0.0),
@@ -319,26 +306,20 @@ def run_step_response(
 
 
 def horizon_sweep(
-    trajectory: ReferenceTrajectory,
-    horizons: list[int],
-    base_config: OcpConfig | None = None,
-    geometry: OmniGeometry | None = None,
+    template: Episode, horizons: list[int]
 ) -> list[tuple[int, TrackingMetrics]]:
-    """Tracking metrics of the predictive controller per horizon length."""
+    """Tracking metrics of the predictive controller per horizon length.
+
+    The template is an ``nmpc`` episode that fixes everything but the
+    horizon: trajectory, noise, seed and the base ``OcpConfig`` (the
+    default one when unset).  Each horizon runs a copy of it.
+    """
+    base = template.controller_config or OcpConfig(ts=template.trajectory.ts)
     rows = []
     for horizon in horizons:
-        if int(horizon) < 1:
-            raise ValueError("horizons must be positive")
-        base = base_config or OcpConfig(ts=trajectory.ts)
-        cfg = replace(base, horizon=int(horizon))
-        episode = Episode(
-            trajectory=trajectory,
-            controller="nmpc",
-            controller_config=cfg,
-            geometry=geometry or OmniGeometry(),
-        )
-        run_episode(episode)
-        rows.append((int(horizon), tracking_metrics(episode.log)))
+        cfg = replace(base, horizon=horizon)
+        episode = run_episode(replace(template, controller_config=cfg))
+        rows.append((cfg.horizon, tracking_metrics(episode.log)))
     return rows
 
 
@@ -358,28 +339,6 @@ def write_run_csv(log: EpisodeLog, path) -> None:
             if log.solver is not None:
                 row += [repr(float(v)) for v in log.solver[n]]
             writer.writerow(row)
-
-
-def read_run_csv(path) -> EpisodeLog:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header not in (RUN_HEADER_BASE, RUN_HEADER_SOLVER):
-            raise ValueError("unexpected run log header")
-        rows = np.array([[float(v) for v in row] for row in reader])
-    if rows.shape[0] < 2:
-        raise ValueError("run log must hold at least two rows")
-    ts = rows[1, 1] - rows[0, 1]
-    has_solver = header == RUN_HEADER_SOLVER
-    return EpisodeLog(
-        ts=ts,
-        reference=rows[:, 2:5],
-        true_pose=rows[:, 5:8],
-        measured=rows[:, 8:11],
-        command=rows[:, 11:14],
-        wheels=rows[:, 14:18],
-        solver=rows[:, 18:21] if has_solver else None,
-    )
 
 
 def write_metrics_csv(rows: list[dict], path, noise: bool = False) -> None:

@@ -231,7 +231,8 @@ def test_criterion_6_noise_trend(ref30):
 
 def test_criterion_7_horizon_trend(ref20):
     with criterion(7, "horizon length trend", 120.0):
-        rows = dict(horizon_sweep(ref20, [1, 15]))
+        template = Episode(trajectory=ref20, controller="nmpc")
+        rows = dict(horizon_sweep(template, [1, 15]))
         assert rows[1].me_xy > rows[15].me_xy
 
 

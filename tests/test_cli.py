@@ -9,8 +9,9 @@ import pytest
 
 import omnitrack
 from omnitrack.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main, standard_map_path
-from omnitrack.planning import read_trajectory_csv
-from omnitrack.simlab import read_run_csv, tracking_metrics
+from omnitrack.simlab import EpisodeLog, tracking_metrics
+
+from test_simlab import read_csv_floats
 
 FREE_MAP = "8 8 0.5\n" + "\n".join(["0" * 8] * 8) + "\n"
 WALLED_MAP = "8 8 0.5\n" + "\n".join(
@@ -58,9 +59,9 @@ def test_plan_writes_trajectory_and_figure(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["plan", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    trajectory = read_trajectory_csv(out / "trajectory.csv")
+    _, trajectory = read_csv_floats(out / "trajectory.csv")
     assert len(trajectory) == 61  # 6 s at 0.1 s plus the initial sample
-    assert trajectory.ts == 0.1
+    assert trajectory[1, 1] == 0.1
     svg = (out / "plan.svg").read_text()
     assert svg.startswith("<svg")
     assert (out / config.name).exists()  # config copied beside results
@@ -98,7 +99,9 @@ def test_track_outputs_and_recomputable_metrics(tmp_path, capsys):
     rows = read_rows(out / "metrics.csv")
     assert [r["controller"] for r in rows] == ["fpid-t1", "fpid-it2", "nmpc"]
     for row in rows:
-        log = read_run_csv(out / f"run_{row['controller']}.csv")
+        _, run = read_csv_floats(out / f"run_{row['controller']}.csv")
+        columns = (run[:, 2:5], run[:, 5:8], run[:, 8:11], run[:, 11:14], run[:, 14:18])
+        log = EpisodeLog(0.1, *columns)
         recomputed = tracking_metrics(log)
         assert float(row["me_xy"]) == pytest.approx(recomputed.me_xy, abs=1e-12)
         assert float(row["mae_theta"]) == pytest.approx(recomputed.mae_theta, abs=1e-12)
@@ -128,9 +131,9 @@ def test_seed_flag_changes_noisy_runs(tmp_path, capsys):
     assert main(["track", "--config", str(config), "--out", str(out_a)]) == EXIT_OK
     code = main(["track", "--config", str(config), "--out", str(out_b), "--seed", "7"])
     assert code == EXIT_OK
-    a = read_run_csv(out_a / "run_fpid-t1.csv")
-    b = read_run_csv(out_b / "run_fpid-t1.csv")
-    assert not np.array_equal(a.measured, b.measured)
+    _, a = read_csv_floats(out_a / "run_fpid-t1.csv")
+    _, b = read_csv_floats(out_b / "run_fpid-t1.csv")
+    assert not np.array_equal(a[:, 8:11], b[:, 8:11])  # x_meas .. theta_meas
     capsys.readouterr()
 
 
@@ -187,6 +190,27 @@ def test_horizon_sweep_csv_and_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_noisy_horizon_sweep_follows_the_seed(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        experiment={
+            "total_time": "4.0",
+            "np_values": "1, 6",
+            "controllers": "",
+            "noise": "true",
+        },
+    )
+    tables = []
+    for run, seed in enumerate(("1", "1", "2")):
+        out = tmp_path / f"out{run}"
+        argv = ["horizon", "--config", str(config), "--out", str(out), "--seed", seed]
+        assert main(argv) == EXIT_OK
+        tables.append((out / "horizon.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert tables[0] != tables[2]
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------ bad input
 
 
@@ -222,6 +246,19 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
     assert main(["horizon", "--config", str(bad_np)]) == EXIT_ERROR
     capsys.readouterr()
 
+    endless = [
+        write_config(tmp_path, name=f"e{i}.ini", experiment={"total_time": value})
+        for i, value in enumerate(("inf", "1e400"))
+    ]
+    bad_knobs = [
+        write_config(tmp_path, name="f.ini", sections={"fpid-t1": {"de_scale": "0"}}),
+        write_config(tmp_path, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}}),
+    ]
+    for config in endless + bad_knobs:
+        assert main(["track", "--config", str(config)]) == EXIT_ERROR, config.name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     configs, walled, cwd = tmp_path / "configs", tmp_path / "walled", tmp_path / "cwd"
@@ -230,6 +267,9 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     missing = write_config(configs, name="m.ini", sections={"fpid-t1": None})
     bad_time = write_config(configs, name="t.ini", experiment={"total_time": "0"})
     bad_np = write_config(configs, name="n.ini", experiment={"np_values": "0,5"})
+    endless = write_config(configs, name="e.ini", experiment={"total_time": "inf"})
+    bad_fpid = write_config(configs, name="f.ini", sections={"fpid-t1": {"de_scale": "0"}})
+    bad_nmpc = write_config(configs, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}})
     blocked = write_config(walled)
     (walled / "arena.map").write_text(WALLED_MAP, encoding="ascii")
     monkeypatch.chdir(cwd)
@@ -238,6 +278,9 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
         (["step", "--config", str(missing)], EXIT_ERROR),
         (["plan", "--config", str(bad_time)], EXIT_ERROR),
         (["horizon", "--config", str(bad_np)], EXIT_ERROR),
+        (["plan", "--config", str(endless)], EXIT_ERROR),
+        (["track", "--config", str(bad_fpid)], EXIT_ERROR),
+        (["horizon", "--config", str(bad_nmpc)], EXIT_ERROR),
         (["horizon", "--config", str(blocked), "--np-values", "0"], EXIT_ERROR),
         (["plan", "--config", str(blocked)], EXIT_NO_PATH),
         (["track", "--config", str(blocked)], EXIT_NO_PATH),

@@ -206,16 +206,20 @@ def test_engine_choice_from_config():
         FpidConfig(engine="pid")
     with pytest.raises(ValueError):
         FpidConfig(frame="martian")
-
-
-def test_reset_restores_initial_state():
-    ctrl = FuzzyPidController(FpidConfig())
-    ctrl.command(RobotPose(0.0, 0.0, 0.0), RobotPose(1.0, 1.0, 1.0), 0.1)
-    assert ctrl.distance.prev_error != 0.0
-    ctrl.reset()
-    assert ctrl.distance.prev_error == 0.0
-    assert ctrl.distance.integral == 0.0
-    assert ctrl.distance.kp == ctrl.config.dist_kp
+    # A zero or infinite scale divides the error into 0/0 or nothing, and
+    # a NaN threshold turns every range comparison false.
+    for bad in (
+        {"de_scale": 0.0},
+        {"dist_norm": 0.0},
+        {"head_norm": -1.0},
+        {"de_scale": math.inf},
+        {"dist_norm": math.nan},
+        {"threshold": math.nan},
+        {"threshold": -0.01},
+        {"threshold": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            FpidConfig(**bad)
 
 
 def test_closed_loop_settles_into_tracking_band():

@@ -1,7 +1,6 @@
 import itertools
 import math
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -21,9 +20,8 @@ from omnitrack.fuzzy import (
     TriMf,
     Type1Engine,
     Type2Engine,
-    centroid_of_fou,
+    _trapezoid_weights,
     km_centroid,
-    write_control_surface,
 )
 
 # Independent transcription of the 49-rule gain-scheduling table.  Each
@@ -65,32 +63,6 @@ def test_rule_tables_match_audit_copy():
     assert np.array_equal(rules.kp, kp)
     assert np.array_equal(rules.ki, ki)
     assert np.array_equal(rules.kd, kd)
-
-
-def test_bundled_rule_file_matches_default():
-    path = resources.files("omnitrack").joinpath("data", "pid_rules.csv")
-    shipped = RuleBase.from_csv(str(path))
-    rules = RuleBase.default()
-    for name, table in rules.tables().items():
-        assert np.array_equal(shipped.tables()[name], table)
-
-
-def test_rule_csv_round_trip(tmp_path):
-    rules = RuleBase.default()
-    rules.to_csv(tmp_path / "rules.csv")
-    back = RuleBase.from_csv(tmp_path / "rules.csv")
-    assert np.array_equal(back.kp, rules.kp)
-    assert np.array_equal(back.ki, rules.ki)
-    assert np.array_equal(back.kd, rules.kd)
-
-
-def test_rule_csv_rejects_incomplete(tmp_path):
-    rules = RuleBase.default()
-    rules.to_csv(tmp_path / "rules.csv")
-    lines = (tmp_path / "rules.csv").read_text().splitlines()
-    (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError):
-        RuleBase.from_csv(tmp_path / "short.csv")
 
 
 # ----------------------------------------------------------- partitions
@@ -349,6 +321,13 @@ def test_centroid_bounds_validation():
             km_centroid(x, np.zeros(2), np.array([1.0, bad]))
 
 
+def centroid_of_fou(fou, lo, hi, resolution=1001):
+    """Centroid interval of one interval type-2 set over [lo, hi]."""
+    grid = np.linspace(lo, hi, resolution)
+    weights = _trapezoid_weights(grid)
+    return km_centroid(grid, weights * fou.lower(grid), weights * fou.upper(grid))
+
+
 def test_fou_centroid_properties():
     umf = TriMf(-0.05, 0.0, 0.1)
     exact = (-0.05 + 0.0 + 0.1) / 3.0  # centroid of a triangle
@@ -569,17 +548,3 @@ def test_engine_deltas_stay_inside_the_increment_universe(e, de):
     lo, hi = DELTA_RANGE
     for engine in _ENGINES:
         assert all(lo <= value <= hi for value in engine.infer(e, de))
-
-
-def test_control_surface_dump(tmp_path):
-    engine = Type1Engine()
-    path = tmp_path / "surface.csv"
-    write_control_surface(engine, path, resolution=5)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "e,de,dkp,dki,dkd"
-    assert len(lines) == 1 + 25
-    e, de, dkp, dki, dkd = (float(v) for v in lines[13].split(","))
-    out = engine.infer(e, de)
-    assert out.dkp == pytest.approx(dkp, abs=1e-12)
-    assert out.dki == pytest.approx(dki, abs=1e-12)
-    assert out.dkd == pytest.approx(dkd, abs=1e-12)

@@ -12,7 +12,6 @@ from omnitrack.nmpc import (
     OcpConfig,
     OcpProblem,
     defects,
-    ocp_cost,
     predict,
     reference_window,
     rollout,
@@ -23,6 +22,22 @@ from omnitrack.planning import ReferenceTrajectory
 
 
 # ---------------------------------------------------- reference helpers
+
+
+def ocp_cost(problem, config, w):
+    """Quadratic tracking cost of a stacked decision vector."""
+    n = problem.horizon
+    w = np.asarray(w, dtype=float)
+    if w.shape != (5 * n + 3,):
+        raise DimensionMismatchError(f"w must have {5 * n + 3} entries")
+    inputs = w[: 2 * n].reshape(n, 2)
+    states = w[2 * n :].reshape(n + 1, 3)
+    q = np.asarray(config.q_diag)
+    r = np.asarray(config.r_diag)
+    ex = states - problem.x_ref
+    ex[:, 2] = wrap_angle(ex[:, 2])
+    eu = inputs - problem.u_ref
+    return float(np.sum(ex * ex * q) + np.sum(eu * eu * r))
 
 
 def circle_trajectory(n=60, ts=0.1, radius=1.0, speed=0.6):
@@ -334,8 +349,6 @@ def test_dimension_validation():
         solve(problem, OcpConfig(horizon=6, ts=0.1))
     with pytest.raises(DimensionMismatchError):
         solve(problem, cfg, warm_start=np.zeros(5))
-    with pytest.raises(DimensionMismatchError):
-        ocp_cost(problem, cfg, np.zeros(7))
 
 
 def test_config_validation():
@@ -347,6 +360,11 @@ def test_config_validation():
         OcpConfig(q_diag=(1.0, 1.0))
     with pytest.raises(ValueError):
         OcpConfig(r_diag=(-1.0, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OcpConfig(q_diag=(bad, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            OcpConfig(r_diag=(1.0, bad))
     with pytest.raises(ValueError):
         OcpConfig(v_max=0.0)
 

@@ -1,4 +1,6 @@
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ from omnitrack.kinematics import BodyVelocity, RobotPose, integrate_pose, wrap_a
 from omnitrack.nmpc import OcpConfig
 from omnitrack.planning import ReferenceTrajectory
 from omnitrack.simlab import (
+    RUN_HEADER_BASE,
+    RUN_HEADER_SOLVER,
     Episode,
     EpisodeLog,
     NoiseModel,
-    StepMetrics,
     horizon_sweep,
-    read_run_csv,
     run_episode,
     run_step_response,
     step_metrics,
@@ -223,22 +225,35 @@ def test_step_response_axes_and_predictive_lateral_hold():
 
 
 def test_horizon_sweep_orders_short_horizons_worst():
-    traj = circle_trajectory(n=100)
-    rows = horizon_sweep(traj, [1, 10])
+    template = Episode(trajectory=circle_trajectory(n=100), controller="nmpc")
+    rows = horizon_sweep(template, [1, 10])
     assert [h for h, _ in rows] == [1, 10]
     assert rows[0][1].me_xy > rows[1][1].me_xy
     with pytest.raises(ValueError):
-        horizon_sweep(traj, [0])
+        horizon_sweep(template, [0])
 
 
 def test_horizon_sweep_accepts_a_base_config():
     traj = circle_trajectory(n=30)
     base = OcpConfig(ts=traj.ts, q_diag=(5.0, 5.0, 5.0))
-    rows = horizon_sweep(traj, [3], base_config=base)
+    template = Episode(traj, "nmpc", base, noise=NoiseModel(), seed=3)
+    rows = horizon_sweep(template, [3])
     assert rows[0][0] == 3
+    # A row is the template's episode with only the horizon replaced; the
+    # template itself is left as it was.
+    alone = Episode(traj, "nmpc", replace(base, horizon=3), noise=NoiseModel(), seed=3)
+    assert rows[0][1] == tracking_metrics(run_episode(alone).log)
+    assert template.log is None and template.controller_config is base
 
 
 # ------------------------------------------------------------- csv files
+
+
+def read_csv_floats(path):
+    """Header and float rows of a CSV, read with nothing but csv and float()."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array([[float(v) for v in row] for row in rows])
 
 
 def test_run_csv_round_trips_exactly(tmp_path):
@@ -248,42 +263,24 @@ def test_run_csv_round_trips_exactly(tmp_path):
     )
     path = tmp_path / "run.csv"
     write_run_csv(episode.log, path)
-    back = read_run_csv(path)
-    assert back.ts == episode.log.ts
-    for name in ("reference", "true_pose", "measured", "command", "wheels"):
-        assert np.array_equal(getattr(back, name), getattr(episode.log, name))
-    assert back.solver is None
+    header, rows = read_csv_floats(path)
+    assert header == RUN_HEADER_BASE
+    log = episode.log
+    assert np.array_equal(rows[:, 0], np.arange(len(log)))
+    assert np.array_equal(rows[:, 1], log.times)
+    columns = (log.reference, log.true_pose, log.measured, log.command, log.wheels)
+    assert np.array_equal(rows[:, 2:], np.hstack(columns))
 
 
 def test_run_csv_keeps_solver_columns(tmp_path):
     episode = run_episode(Episode(trajectory=circle_trajectory(n=12), controller="nmpc"))
     path = tmp_path / "run.csv"
     write_run_csv(episode.log, path)
-    header = path.read_text().splitlines()[0]
-    assert header.endswith("cost,iters,kkt")
-    back = read_run_csv(path)
-    assert np.array_equal(back.solver, episode.log.solver)
-
-
-def test_run_csv_rejects_foreign_files(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_run_csv(bad)
-    short = tmp_path / "short.csv"
-    write_run_csv(
-        EpisodeLog(
-            ts=0.1,
-            reference=np.zeros((1, 3)),
-            true_pose=np.zeros((1, 3)),
-            measured=np.zeros((1, 3)),
-            command=np.zeros((1, 3)),
-            wheels=np.zeros((1, 4)),
-        ),
-        short,
-    )
-    with pytest.raises(ValueError):
-        read_run_csv(short)
+    header, rows = read_csv_floats(path)
+    assert header == RUN_HEADER_SOLVER
+    assert header[-3:] == ["cost", "iters", "kkt"]
+    assert np.array_equal(rows[:, 18:], episode.log.solver)
+    assert np.array_equal(rows[:, 2:5], episode.log.reference)
 
 
 def test_metrics_csv_layout(tmp_path):
