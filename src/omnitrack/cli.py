@@ -479,7 +479,7 @@ def main(argv=None) -> int:
     except (CliError, PlanningError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -85,6 +85,8 @@ def fpid_step(
         raise ValueError("dt must be positive")
     if not norm_scale > 0.0:
         raise ValueError("norm_scale must be positive")
+    if not de_scale > 0.0:
+        raise ValueError("de_scale must be positive")
     derivative = (error - state.prev_error) / dt
     e_n = min(max(error / norm_scale, -1.0), 1.0)
     de_n = min(max(derivative / (norm_scale * de_scale), -1.0), 1.0)

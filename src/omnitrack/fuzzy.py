@@ -24,11 +24,7 @@ DELTA_RANGE = (-0.1, 0.1)
 DEFAULT_RESOLUTION = 1001
 
 
-class FuzzyError(Exception):
-    """Base class for inference failures."""
-
-
-class EmptyAggregateError(FuzzyError):
+class EmptyAggregateError(Exception):
     """No rule produced output mass; the partition does not cover the input."""
 
 
@@ -418,8 +414,6 @@ class Type2Engine(_EngineBase):
         resolution: int = DEFAULT_RESOLUTION,
     ):
         super().__init__(error_partition, delta_partition, resolution)
-        self.height_scale = float(height_scale)
-        self.lag = float(lag)
         self.error_fou = FouPartition.from_t1(self.error_partition, height_scale, lag)
         self.delta_fou = FouPartition.from_t1(self.delta_partition, height_scale, lag)
         self._out_sets = np.array(

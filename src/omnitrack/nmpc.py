@@ -24,11 +24,7 @@ ARMIJO_SLOPE = 1e-4
 MIN_STEP = 1e-12
 
 
-class NmpcError(Exception):
-    """Base class for problem construction failures."""
-
-
-class DimensionMismatchError(NmpcError):
+class DimensionMismatchError(Exception):
     """Decision vector or reference shapes do not match the horizon."""
 
 

@@ -42,7 +42,7 @@ class NoPathError(PlanningError):
 
 
 class DegenerateCurveError(PlanningError):
-    """Smoothed curve has (numerically) zero arc length."""
+    """Smoothed curve has (numerically) zero or non-finite arc length."""
 
 
 @dataclass
@@ -63,8 +63,8 @@ class OccupancyGrid:
             raise ValueError("cells must be a non-empty 2-D array")
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("cells must contain only 0 and 1")
-        if not self.resolution > 0.0:
-            raise ValueError("resolution must be positive")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError("resolution must be positive and finite")
         self.cells = arr.astype(np.uint8)
         self.origin = (float(self.origin[0]), float(self.origin[1]))
 
@@ -383,7 +383,10 @@ def _arc_table(
     budget = tol / (breaks.size - 1)
     span = np.arange(breaks.size - 1)
     lo, hi = breaks[:-1], breaks[1:]
-    coarse = _gl_arc(curve._tangent[..., None], lo, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        coarse = _gl_arc(curve._tangent[..., None], lo, lo, hi)
+    if not np.isfinite(coarse).all():
+        raise DegenerateCurveError("curve arc length is not finite")
     starts, lengths, spans = [], [], []
     while lo.size:
         mid = 0.5 * (lo + hi)
@@ -518,24 +521,19 @@ def sample_reference(
     return ReferenceTrajectory(ts, poses, v, omega)
 
 
-def write_trajectory_csv(trajectory: ReferenceTrajectory, path) -> None:
-    """Write the reference table; floats keep full round-trip precision."""
+def write_csv(path, header, rows) -> None:
+    """Write an ASCII CSV table; csv prints floats round-trip and None empty."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_HEADER)
-        for n in range(len(trajectory)):
-            x, y, th = trajectory.poses[n]
-            writer.writerow(
-                [
-                    n,
-                    repr(n * trajectory.ts),
-                    repr(float(x)),
-                    repr(float(y)),
-                    repr(float(th)),
-                    repr(float(trajectory.v_ref[n])),
-                    repr(float(trajectory.omega_ref[n])),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trajectory_csv(trajectory: ReferenceTrajectory, path) -> None:
+    """Write the reference table; floats keep full round-trip precision."""
+    table = np.column_stack([trajectory.poses, trajectory.v_ref, trajectory.omega_ref])
+    rows = ([n, n * trajectory.ts, *row] for n, row in enumerate(table.tolist()))
+    write_csv(path, TRAJECTORY_HEADER, rows)
 
 
 def plan_reference(

@@ -9,7 +9,6 @@ pose fed to the controller; metrics are computed on the true pose.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from omnitrack.fpid import FpidConfig, FuzzyPidController
 from omnitrack.kinematics import (
-    BodyVelocity,
     OmniGeometry,
     RobotPose,
     forward_kinematics,
@@ -26,7 +24,7 @@ from omnitrack.kinematics import (
     wrap_angle,
 )
 from omnitrack.nmpc import NmpcController, OcpConfig
-from omnitrack.planning import ReferenceTrajectory
+from omnitrack.planning import ReferenceTrajectory, write_csv
 
 CONTROLLER_IDS = ("fpid-t1", "fpid-it2", "nmpc")
 
@@ -102,43 +100,6 @@ class Episode:
             raise ValueError(f"unknown controller '{self.controller}'")
 
 
-class _FpidRunner:
-    def __init__(self, config: FpidConfig, trajectory: ReferenceTrajectory):
-        self.ctrl = FuzzyPidController(config)
-        self.trajectory = trajectory
-
-    def command(self, pose: RobotPose, n: int) -> BodyVelocity:
-        target = RobotPose(*self.trajectory.poses[n])
-        return self.ctrl.command(pose, target, self.trajectory.ts)
-
-    def diagnostics(self):
-        return None
-
-
-class _NmpcRunner:
-    def __init__(self, config: OcpConfig, trajectory: ReferenceTrajectory):
-        self.ctrl = NmpcController(config)
-        self.trajectory = trajectory
-
-    def command(self, pose: RobotPose, n: int) -> BodyVelocity:
-        return self.ctrl.command(pose, self.trajectory, n)
-
-    def diagnostics(self):
-        sol = self.ctrl.last_solution
-        return (sol.cost, float(sol.iterations), sol.kkt_residual)
-
-
-def _make_runner(episode: Episode):
-    if episode.controller == "nmpc":
-        cfg = episode.controller_config or OcpConfig(ts=episode.trajectory.ts)
-        return _NmpcRunner(cfg, episode.trajectory)
-    cfg = episode.controller_config
-    if cfg is None:
-        engine = "it2" if episode.controller == "fpid-it2" else "t1"
-        cfg = FpidConfig(engine=engine)
-    return _FpidRunner(cfg, episode.trajectory)
-
-
 def run_episode(episode: Episode) -> Episode:
     """Run the closed loop over the episode's reference; fills the log.
 
@@ -148,7 +109,12 @@ def run_episode(episode: Episode) -> Episode:
     traj = episode.trajectory
     n_steps = len(traj)
     rng = np.random.default_rng(episode.seed)
-    runner = _make_runner(episode)
+    cfg = episode.controller_config
+    if episode.controller == "nmpc":
+        ctrl = NmpcController(cfg or OcpConfig(ts=traj.ts))
+    else:
+        engine = "it2" if episode.controller == "fpid-it2" else "t1"
+        ctrl = FuzzyPidController(cfg or FpidConfig(engine=engine))
     pose = episode.initial_pose or RobotPose(*traj.poses[0])
 
     reference = traj.poses.copy()
@@ -165,7 +131,12 @@ def run_episode(episode: Episode) -> Episode:
             else np.zeros(3)
         )
         meas = RobotPose(pose.x + noise[0], pose.y + noise[1], pose.theta + noise[2])
-        cmd = runner.command(meas, n)
+        if solver is None:
+            cmd = ctrl.command(meas, RobotPose(*traj.poses[n]), traj.ts)
+        else:
+            cmd = ctrl.command(meas, traj, n)
+            sol = ctrl.last_solution
+            solver[n] = (sol.cost, sol.iterations, sol.kkt_residual)
         spin = inverse_kinematics(episode.geometry, cmd)
         actual = forward_kinematics(episode.geometry, spin)
 
@@ -173,8 +144,6 @@ def run_episode(episode: Episode) -> Episode:
         measured[n] = meas.as_array()
         command[n] = cmd.as_array()
         wheels[n] = spin.as_array()
-        if solver is not None:
-            solver[n] = runner.diagnostics()
 
         pose = integrate_pose(pose, actual, traj.ts)
 
@@ -247,7 +216,7 @@ def step_metrics(t: np.ndarray, y: np.ndarray, target: float) -> StepMetrics:
     rising = size > 0.0
 
     peak = float(np.max(y - target)) if rising else float(np.max(target - y))
-    overshoot = max(0.0, peak / abs(size)) * 100.0
+    overshoot = float(max(0.0, peak / abs(size)) * 100.0)
 
     t10 = _first_crossing(t, y, y0 + 0.1 * size, rising)
     t90 = _first_crossing(t, y, y0 + 0.9 * size, rising)
@@ -325,70 +294,32 @@ def horizon_sweep(
 
 def write_run_csv(log: EpisodeLog, path) -> None:
     """Write one episode's log; floats keep full round-trip precision."""
-    header = RUN_HEADER_SOLVER if log.solver is not None else RUN_HEADER_BASE
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for n in range(len(log)):
-            row = [n, repr(n * log.ts)]
-            row += [repr(float(v)) for v in log.reference[n]]
-            row += [repr(float(v)) for v in log.true_pose[n]]
-            row += [repr(float(v)) for v in log.measured[n]]
-            row += [repr(float(v)) for v in log.command[n]]
-            row += [repr(float(v)) for v in log.wheels[n]]
-            if log.solver is not None:
-                row += [repr(float(v)) for v in log.solver[n]]
-            writer.writerow(row)
+    blocks = [log.reference, log.true_pose, log.measured, log.command, log.wheels]
+    header = RUN_HEADER_BASE
+    if log.solver is not None:
+        blocks.append(log.solver)
+        header = RUN_HEADER_SOLVER
+    rows = ([n, n * log.ts, *row] for n, row in enumerate(np.hstack(blocks).tolist()))
+    write_csv(path, header, rows)
 
 
 def write_metrics_csv(rows: list[dict], path, noise: bool = False) -> None:
     """Write per-episode tracking metrics; one row per controller run."""
-    header = ["controller", "scenario", "tracking_time", "me_xy", "mae_theta"]
-    if noise:
-        header.append("noise")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            out = [
-                row["controller"],
-                row["scenario"],
-                repr(float(row["tracking_time"])),
-                repr(float(row["me_xy"])),
-                repr(float(row["mae_theta"])),
-            ]
-            if noise:
-                out.append("true")
-            writer.writerow(out)
+    keys = ["controller", "scenario", "tracking_time", "me_xy", "mae_theta"]
+    flag = ["true"] if noise else []
+    table = ([row[k] for k in keys] + flag for row in rows)
+    write_csv(path, keys + (["noise"] if noise else []), table)
 
 
 def write_step_csv(rows: list[dict], path) -> None:
     """Write step-response characteristics; empty fields mean undefined."""
-    header = ["controller", "axis", "overshoot_pct", "rise_time", "settling_time"]
-
-    def fmt(value):
-        return "" if value is None else repr(float(value))
-
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["controller"],
-                    row["axis"],
-                    fmt(row["overshoot_pct"]),
-                    fmt(row["rise_time"]),
-                    fmt(row["settling_time"]),
-                ]
-            )
+    keys = ["controller", "axis", "overshoot_pct", "rise_time", "settling_time"]
+    write_csv(path, keys, ([row[k] for k in keys] for row in rows))
 
 
 def write_horizon_csv(rows: list[tuple[int, TrackingMetrics]], path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["horizon", "me_xy", "mae_theta"])
-        for horizon, metrics in rows:
-            writer.writerow(
-                [horizon, repr(float(metrics.me_xy)), repr(float(metrics.mae_theta))]
-            )
+    write_csv(
+        path,
+        ["horizon", "me_xy", "mae_theta"],
+        ([horizon, m.me_xy, m.mae_theta] for horizon, m in rows),
+    )

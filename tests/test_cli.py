@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omnitrack
 from omnitrack.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main, standard_map_path
@@ -74,6 +79,17 @@ def test_plan_on_a_walled_map_exits_with_the_no_path_code(tmp_path, capsys):
     code = main(["plan", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == EXIT_NO_PATH
     assert "no path" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("resolution", ["inf", "1e200"])
+def test_plan_rejects_an_extreme_map_resolution(tmp_path, capsys, resolution):
+    config = write_config(tmp_path, experiment={"goal": "3,0", "total_time": "1.0"})
+    (tmp_path / "arena.map").write_text(f"4 1 {resolution}\n0000\n", encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(config), "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_standard_map_is_bundled(tmp_path, capsys):
@@ -248,7 +264,7 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
 
     endless = [
         write_config(tmp_path, name=f"e{i}.ini", experiment={"total_time": value})
-        for i, value in enumerate(("inf", "1e400"))
+        for i, value in enumerate(("inf", "1e400", "1e16"))
     ]
     bad_knobs = [
         write_config(tmp_path, name="f.ini", sections={"fpid-t1": {"de_scale": "0"}}),
@@ -268,6 +284,7 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     bad_time = write_config(configs, name="t.ini", experiment={"total_time": "0"})
     bad_np = write_config(configs, name="n.ini", experiment={"np_values": "0,5"})
     endless = write_config(configs, name="e.ini", experiment={"total_time": "inf"})
+    huge = write_config(configs, name="h.ini", experiment={"total_time": "1e16"})
     bad_fpid = write_config(configs, name="f.ini", sections={"fpid-t1": {"de_scale": "0"}})
     bad_nmpc = write_config(configs, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}})
     blocked = write_config(walled)
@@ -279,6 +296,7 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
         (["plan", "--config", str(bad_time)], EXIT_ERROR),
         (["horizon", "--config", str(bad_np)], EXIT_ERROR),
         (["plan", "--config", str(endless)], EXIT_ERROR),
+        (["plan", "--config", str(huge)], EXIT_ERROR),
         (["track", "--config", str(bad_fpid)], EXIT_ERROR),
         (["horizon", "--config", str(bad_nmpc)], EXIT_ERROR),
         (["horizon", "--config", str(blocked), "--np-values", "0"], EXIT_ERROR),
@@ -290,6 +308,74 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
         assert main(argv) == code, argv
     assert list(cwd.iterdir()) == []
     capsys.readouterr()
+
+
+# Values every fuzzed key may take besides its valid ones.
+BAD_VALUES = ["0", "-1", "nan", "inf", "1e16", "", "x"]
+FUZZ_POOL = {
+    "experiment": {
+        "start": ["0,0", "2,1"],
+        "goal": ["7,7", "3,2", "0,0"],
+        "total_time": ["0.5", "1.0"],
+        "ts": ["0.1", "0.25"],
+        "seed": ["0", "7"],
+        "noise": ["false", "true"],
+        "controllers": ["fpid-t1", "fpid-it2, nmpc"],
+    },
+    "fpid-t1": {
+        "dist_kp": ["1.0", "2.5"],
+        "de_scale": ["10"],
+        "v_max": ["1.5"],
+        "threshold": ["0.05"],
+        "frame": ["body", "global"],
+    },
+    "fpid-it2": {"fou_lag": ["0.3", "0.7"], "head_norm": ["3.14"]},
+    "nmpc": {
+        "horizon": ["3"],
+        "q_diag": ["15, 15, 15", "1, 1", "1, 2, 3, 4"],  # then two wrong lengths
+        "r_diag": ["1, 1", "0, 0"],
+        "v_max": ["1.5"],
+        "kkt_tolerance": ["1e-4"],
+        "max_iterations": ["5"],
+    },
+}
+
+
+@st.composite
+def fuzzed_config(draw):
+    """INI text from FUZZ_POOL: mostly valid, with bad, missing and stray keys."""
+    lines = []
+    for section, keys in FUZZ_POOL.items():
+        if section != "experiment" and draw(st.integers(0, 9)) == 9:
+            continue  # a missing controller section
+        lines.append(f"[{section}]")
+        if section == "experiment":
+            lines.append("map = {map}")
+        for key, valid in keys.items():
+            roll = draw(st.integers(0, 19))
+            if roll < 19:  # 1 in 20 keys is left out
+                pool = valid if roll < 17 else BAD_VALUES
+                lines.append(f"{key} = {draw(st.sampled_from(pool))}")
+        if draw(st.integers(0, 19)) == 19:
+            lines.append("warp = 9")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(text=fuzzed_config(), command=st.sampled_from(["plan", "track"]))
+def test_fuzzed_configs_fail_cleanly(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "arena.map").write_text(FREE_MAP, encoding="ascii")
+        config = root / "lab.ini"
+        config.write_text(text.format(map=root / "arena.map"), encoding="ascii")
+        out, err = root / "out", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_NO_PATH)
+        if code != EXIT_OK:
+            assert err.getvalue().startswith("error:")
+            assert not out.exists()
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):

@@ -69,6 +69,15 @@ def test_fixed_gain_step_matches_hand_computation():
     assert state.prev_error == 0.4
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"dt": 0.0}, {"norm_scale": -1.0}, {"de_scale": 0.0}, {"de_scale": math.nan}]
+)
+def test_step_rejects_nonpositive_scales(kwargs):
+    args = {"error": 1.0, "dt": 0.1, "norm_scale": 1.0, **kwargs}
+    with pytest.raises(ValueError):
+        fpid_step(PidState(1.0, 0.0, 0.1), Type1Engine(), **args)
+
+
 def test_gain_updates_apply_before_output():
     state = PidState(kp=1.0, ki=0.0, kd=0.0)
     out = fpid_step(state, ConstantEngine(0.05, 0.0, 0.0), 1.0, 0.1, 1.0)

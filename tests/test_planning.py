@@ -401,6 +401,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "t", "x_ref", "y_ref", "theta_ref", "v_ref", "omega_ref"]
+    assert path.read_text().splitlines()[2].startswith("1,0.1,")
     back = np.array([[float(v) for v in row] for row in rows[1:]])
     assert np.array_equal(back[:, 0], np.arange(len(traj)))
     assert np.array_equal(back[:, 1], np.arange(len(traj)) * traj.ts)

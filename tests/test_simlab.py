@@ -164,7 +164,7 @@ def test_step_metrics_of_a_first_order_lag():
     t = np.arange(0.0, 8.0, 0.001)
     y = 1.0 - np.exp(-t)
     m = step_metrics(t, y, 1.0)
-    assert m.overshoot_pct == 0.0
+    assert m.overshoot_pct == 0.0 and type(m.overshoot_pct) is float
     assert m.rise_time == pytest.approx(math.log(9.0), abs=2e-3)
     assert m.settling_time == pytest.approx(math.log(10.0), abs=2e-3)
 
@@ -174,6 +174,7 @@ def test_step_metrics_of_a_piecewise_linear_peak():
     y = np.array([0.0, 1.2, 1.0, 1.0, 1.0])
     m = step_metrics(t, y, 1.0)
     assert m.overshoot_pct == pytest.approx(20.0, abs=1e-12)
+    assert type(m.overshoot_pct) is float
     assert m.rise_time == pytest.approx((0.9 - 0.1) / 1.2, abs=1e-12)
     assert m.settling_time == pytest.approx(1.5, abs=1e-12)
 
@@ -190,6 +191,7 @@ def test_step_metrics_undefined_cases():
     assert quick.settling_time == pytest.approx(0.09, abs=1e-12)
     falling = step_metrics(t, np.linspace(1.0, -0.2, 11), 0.0)
     assert falling.overshoot_pct == pytest.approx(20.0)
+    assert type(falling.overshoot_pct) is float
 
 
 def test_step_metrics_validation():
@@ -265,6 +267,7 @@ def test_run_csv_round_trips_exactly(tmp_path):
     write_run_csv(episode.log, path)
     header, rows = read_csv_floats(path)
     assert header == RUN_HEADER_BASE
+    assert path.read_text().splitlines()[2].startswith("1,0.1,")
     log = episode.log
     assert np.array_equal(rows[:, 0], np.arange(len(log)))
     assert np.array_equal(rows[:, 1], log.times)
@@ -287,7 +290,7 @@ def test_metrics_csv_layout(tmp_path):
     rows = [
         {
             "controller": "fpid-t1",
-            "scenario": "standard",
+            "scenario": "maps/a,b.map",
             "tracking_time": 30.0,
             "me_xy": 0.125,
             "mae_theta": 0.04,
@@ -297,7 +300,9 @@ def test_metrics_csv_layout(tmp_path):
     write_metrics_csv(rows, plain)
     lines = plain.read_text().splitlines()
     assert lines[0] == "controller,scenario,tracking_time,me_xy,mae_theta"
-    assert lines[1] == "fpid-t1,standard,30.0,0.125,0.04"
+    assert lines[1] == 'fpid-t1,"maps/a,b.map",30.0,0.125,0.04'
+    with open(plain, newline="") as fh:
+        assert list(csv.reader(fh))[1][1] == "maps/a,b.map"
     noisy = tmp_path / "noisy.csv"
     write_metrics_csv(rows, noisy, noise=True)
     lines = noisy.read_text().splitlines()
