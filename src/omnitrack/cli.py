@@ -182,6 +182,8 @@ def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
         noise = exp.getboolean("noise", False)
     except ValueError as err:
         raise CliError(f"bad value in [experiment]: {err}") from None
+    if seed < 0:
+        raise CliError("[experiment] seed must be a non-negative integer")
     if not 0.0 < ts < total_time < math.inf:
         raise CliError("[experiment] requires finite total_time > ts > 0")
 
@@ -248,6 +250,13 @@ def _prepare_outdir(args, config: ExperimentConfig, command: str) -> Path:
     return out
 
 
+def _override_seed(config: ExperimentConfig, seed: int | None) -> None:
+    if seed is not None:
+        if seed < 0:
+            raise CliError("--seed must be a non-negative integer")
+        config.seed = seed
+
+
 def _plan(config: ExperimentConfig):
     grid = _load_map(config)
     return grid, plan_reference(
@@ -280,8 +289,7 @@ def cmd_plan(args) -> int:
 
 def cmd_track(args) -> int:
     config = load_config(args.config, need_controllers=True)
-    if args.seed is not None:
-        config.seed = args.seed
+    _override_seed(config, args.seed)
     grid, (path, curve, trajectory) = _plan(config)
 
     episodes = [
@@ -398,8 +406,7 @@ def cmd_step(args) -> int:
 
 def cmd_horizon(args) -> int:
     config = load_config(args.config, need_controllers=False)
-    if args.seed is not None:
-        config.seed = args.seed
+    _override_seed(config, args.seed)
     np_values = (
         _parse_int_list(args.np_values, "--np-values")
         if args.np_values

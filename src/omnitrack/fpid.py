@@ -135,6 +135,16 @@ class FpidConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError("threshold must be non-negative and finite")
+        if not (0.0 < self.k_max < math.inf and 0.0 < self.i_max < math.inf):
+            raise ValueError("k_max and i_max must be positive and finite")
+        gains = ("dist_kp", "dist_ki", "dist_kd", "head_kp", "head_ki", "head_kd")
+        for name in gains:
+            if not 0.0 <= getattr(self, name) <= self.k_max:
+                raise ValueError(f"{name} must lie in [0, k_max]")
+        if not 0.0 <= self.fou_lag < 1.0:
+            raise ValueError("fou_lag must lie in [0, 1)")
+        if not 0.0 < self.fou_height_scale <= 1.0:
+            raise ValueError("fou_height_scale must lie in (0, 1]")
 
     def build_engine(self):
         if self.engine == "it2":

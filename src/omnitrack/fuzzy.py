@@ -265,7 +265,7 @@ class RuleBase:
 
 def km_centroid(
     x: np.ndarray, f_lower: np.ndarray, f_upper: np.ndarray
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Karnik-Mendel centroid bounds of an interval-weighted point set.
 
     Finds min and max of sum(x * theta) / sum(theta) over all weight
@@ -273,29 +273,38 @@ def km_centroid(
     with upper weights on one side of a switch index and lower weights
     on the other (Karnik & Mendel 2001), so it is the extreme of that
     weighted mean over every switch index; no iteration is needed.
+
+    ``x`` is one set of n points; the weights are (n,) for two floats,
+    or (..., n) for a batch of weightings of those points, which gives
+    two arrays of the batch shape.  Each row's bounds equal those of a
+    call with that row alone, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     fl = np.asarray(f_lower, dtype=float)
     fu = np.asarray(f_upper, dtype=float)
-    if x.shape != fl.shape or x.shape != fu.shape:
-        raise ValueError("x, f_lower and f_upper must share one shape")
+    if x.ndim != 1 or fl.shape != fu.shape or fl.shape[-1:] != x.shape:
+        raise ValueError("x must be 1-D, f_lower and f_upper of one shape (..., x.size)")
     if not (np.isfinite(x).all() and np.isfinite(fu).all()):
         raise ValueError("x and f_upper must be finite")
     # Written so that a NaN lower weight fails too.
     if not ((fl >= 0.0).all() and (fl <= fu).all()):
         raise ValueError("weights must satisfy 0 <= f_lower <= f_upper")
-    if fu.sum() <= 0.0:
+    peak = fu.max(axis=-1, initial=0.0)
+    if not (peak > 0.0).all():
         raise EmptyAggregateError("no upper membership mass")
 
-    order = np.argsort(x, kind="stable")
-    x = x[order]
+    # A stable sort leaves ascending points, such as an engine's grid, as
+    # they are; skipping it then saves the gathers of every weight row.
+    if (x[1:] < x[:-1]).any():
+        order = np.argsort(x, kind="stable")
+        x, fl, fu = x[order], fl[..., order], fu[..., order]
     n = x.size
-    # A power-of-two scale is exact and changes no ratio; it keeps tiny
-    # weights from underflowing in x * weight.  The exponent cap lifts
+    # A power-of-two scale per row is exact and changes no ratio; it keeps
+    # tiny weights from underflowing in x * weight.  The exponent cap lifts
     # even the smallest subnormal into the normal range without overflow.
-    scale = math.ldexp(1.0, min(-math.frexp(fu.max())[1], 1000))
-    terms = np.empty((2, 2, n))  # [x * weight, weight] by [lower, upper]
-    np.multiply([fl[order], fu[order]], scale, out=terms[1])
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(peak)[1], 1000))[..., None]
+    terms = np.empty((2, 2, *fu.shape))  # [x * weight, weight] by [lower, upper]
+    np.multiply([fl, fu], scale, out=terms[1])
     np.multiply(terms[1], x, out=terms[0])
 
     # Column k of the padded sums splits the points at switch k: prefix
@@ -303,10 +312,10 @@ def km_centroid(
     # summed on their own rather than as total minus prefix, which would
     # cancel when a light tail follows a heavy head.  Reversing the
     # lower/upper axis of the suffixes pairs lower heads with upper tails.
-    prefix = np.zeros((2, 2, n + 1))
-    suffix = np.zeros((2, 2, n + 1))
-    np.cumsum(terms, axis=2, out=prefix[:, :, 1:])
-    np.cumsum(terms[:, ::-1, ::-1], axis=2, out=suffix[:, :, n - 1 :: -1])
+    prefix = np.zeros((*terms.shape[:-1], n + 1))
+    suffix = np.zeros_like(prefix)
+    np.cumsum(terms, axis=-1, out=prefix[..., 1:])
+    np.cumsum(terms[:, ::-1, ..., ::-1], axis=-1, out=suffix[..., n - 1 :: -1])
     num, den = prefix + suffix
     # Upper weights on the small-x side pull the centroid down, so row 1
     # holds the left bound and row 0 the right.  A switch with no mass is
@@ -314,7 +323,11 @@ def km_centroid(
     # switch always has mass.
     with np.errstate(invalid="ignore"):
         ratio = num / den
-    return float(np.fmin.reduce(ratio[1])), float(np.fmax.reduce(ratio[0]))
+    y_left = np.fmin.reduce(ratio[1], axis=-1)
+    y_right = np.fmax.reduce(ratio[0], axis=-1)
+    if fu.ndim == 1:
+        return float(y_left), float(y_right)
+    return y_left, y_right
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -436,9 +449,6 @@ class Type2Engine(_EngineBase):
         firing = np.minimum(mu_e[:, :, None], mu_de[:, None, :])  # [upper/lower, e, de]
         strengths = self._label_strengths(firing)  # [gain, upper/lower, label]
         aggregates = np.minimum(strengths[..., None], self._out_sets).max(axis=2)
-        weighted = self.weights * aggregates
-        deltas = []
-        for upper, lower in weighted:
-            y_left, y_right = km_centroid(self.grid, lower, upper)
-            deltas.append(float(0.5 * (y_left + y_right)))
-        return GainDeltas(*deltas)
+        weighted = self.weights * aggregates  # [gain, upper/lower, grid]
+        y_left, y_right = km_centroid(self.grid, weighted[:, 1], weighted[:, 0])
+        return GainDeltas(*(0.5 * (y_left + y_right)).tolist())

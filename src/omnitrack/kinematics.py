@@ -3,8 +3,10 @@
 The robot body carries four omni wheels whose hubs sit on a circle of
 radius ``body_radius``, mounted at fixed angular offsets around the body.
 Wheel angular rates relate linearly to the global body velocity, so the
-inverse map is a single matrix product and the forward map is a
-least-squares solve of the same (full column rank) matrix.
+inverse map is a single matrix product.  The 4x3 wheel matrix has full
+column rank, and the forward map is its least-squares solve: one product
+with a 3x4 left inverse, built once per geometry (from a QR factorization)
+and cached.
 """
 
 from __future__ import annotations
@@ -137,6 +139,23 @@ def wheel_matrix(geometry: OmniGeometry) -> np.ndarray:
     return matrix
 
 
+@lru_cache(maxsize=16)
+def wheel_left_inverse(geometry: OmniGeometry) -> np.ndarray:
+    """The 3x4 left inverse of :func:`wheel_matrix`, its pseudo-inverse.
+
+    With ``W = QR`` the least-squares solution of ``W v = phi_dot`` is
+    ``R^-1 Q^T phi_dot``.  The rank check runs here, once per geometry;
+    the array is shared, so it is read-only.
+    """
+    matrix = wheel_matrix(geometry)
+    if np.linalg.matrix_rank(matrix) < 3:
+        raise ValueError("wheel matrix is rank deficient")
+    q, r = np.linalg.qr(matrix)
+    inverse = np.linalg.solve(r, q.T)
+    inverse.flags.writeable = False
+    return inverse
+
+
 def inverse_kinematics(geometry: OmniGeometry, velocity: BodyVelocity) -> WheelSpeeds:
     """Wheel rates realizing a commanded body velocity."""
     return WheelSpeeds(wheel_matrix(geometry) @ velocity.as_array())
@@ -145,15 +164,12 @@ def inverse_kinematics(geometry: OmniGeometry, velocity: BodyVelocity) -> WheelS
 def forward_kinematics(geometry: OmniGeometry, wheels: WheelSpeeds) -> BodyVelocity:
     """Least-squares body velocity reproducing measured wheel rates.
 
-    The wheel matrix has full column rank for any valid geometry, so the
+    One product with the cached left inverse of the wheel matrix.  The
+    matrix has full column rank for any valid geometry, so the
     least-squares solution is unique; for consistent wheel rates it inverts
-    :func:`inverse_kinematics` exactly.
+    :func:`inverse_kinematics` to rounding.
     """
-    matrix = wheel_matrix(geometry)
-    solution, _, rank, _ = np.linalg.lstsq(matrix, wheels.as_array(), rcond=None)
-    if rank < 3:
-        raise ValueError("wheel matrix is rank deficient")
-    return BodyVelocity(*solution)
+    return BodyVelocity(*(wheel_left_inverse(geometry) @ wheels.as_array()).tolist())
 
 
 def integrate_pose(pose: RobotPose, velocity: BodyVelocity, dt: float) -> RobotPose:

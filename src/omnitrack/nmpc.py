@@ -7,13 +7,17 @@ inputs.  The solver iterates Gauss-Newton steps on the input sequence
 with the states condensed out through the rollout, so the returned
 trajectory satisfies the shooting constraints by construction;
 bounds are enforced by an active-set pass inside each step and a
-projected-gradient certificate decides convergence.
+projected-gradient certificate decides convergence.  Each step solves
+the Gauss-Newton normal equations, which are positive definite because
+every input weight is positive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +55,11 @@ class OcpConfig:
         self.r_diag = tuple(float(v) for v in self.r_diag)
         if len(self.q_diag) != 3 or len(self.r_diag) != 2:
             raise ValueError("q_diag must have 3 entries, r_diag 2")
-        if not all(0.0 <= v < math.inf for v in self.q_diag + self.r_diag):
-            raise ValueError("weights must be non-negative and finite")
+        if not all(0.0 <= v < math.inf for v in self.q_diag):
+            raise ValueError("q_diag weights must be non-negative and finite")
+        # A zero input weight can leave the Gauss-Newton system singular.
+        if not all(0.0 < v < math.inf for v in self.r_diag):
+            raise ValueError("r_diag weights must be positive and finite")
         if not self.v_max > 0.0 or not self.omega_max > 0.0:
             raise ValueError("input bounds must be positive")
         if not self.kkt_tolerance > 0.0:
@@ -61,9 +68,40 @@ class OcpConfig:
             raise ValueError("max_iterations must be at least 1")
         self.max_iterations = int(self.max_iterations)
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lower = np.tile([-self.v_max, -self.omega_max], self.horizon)
-        return lower, -lower
+    def constants(self) -> "_Constants":
+        """The arrays this configuration fixes, built once and shared."""
+        return _constants(
+            self.horizon, self.ts, self.q_diag, self.r_diag, self.v_max, self.omega_max
+        )
+
+
+class _Constants(NamedTuple):
+    """Input box, square-root weights and the constant Jacobian rows."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    sq: np.ndarray
+    sr: np.ndarray
+    before: np.ndarray  # [k - 1, j]: input j acts before state k
+    jac: np.ndarray  # the heading and input rows; the rest is zero
+
+
+@lru_cache(maxsize=64)
+def _constants(horizon, ts, q_diag, r_diag, v_max, omega_max) -> _Constants:
+    n = horizon
+    lower = np.tile([-v_max, -omega_max], n)
+    sq = np.sqrt(np.asarray(q_diag))
+    sr = np.sqrt(np.asarray(r_diag))
+    before = np.tri(n, dtype=bool)
+    rows = 3 * (n + 1)
+    jac = np.zeros((rows + 2 * n, 2 * n))
+    blocks = jac[3:rows].reshape(n, 3, n, 2)  # [k - 1, state, j, input]
+    blocks[:, 2, :, 1] = sq[2] * np.where(before, ts, 0.0)
+    jac[rows:] = np.diag(np.tile(sr, n))
+    arrays = _Constants(lower, -lower, sq, sr, before, jac)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @dataclass
@@ -159,16 +197,9 @@ class _Condensed:
         self.problem = problem
         self.config = config
         self.x0 = problem.initial_state.as_array()
-        self.sq = np.sqrt(np.asarray(config.q_diag))
-        self.sr = np.sqrt(np.asarray(config.r_diag))
-        # The heading rows and the input rows of the Jacobian are constant.
-        n, ts = problem.horizon, config.ts
-        self._before = np.tri(n, dtype=bool)  # [k - 1, j]: input j acts before state k
-        rows = 3 * (n + 1)
-        self._jac = np.zeros((rows + 2 * n, 2 * n))
-        blocks = self._jac[3:rows].reshape(n, 3, n, 2)  # [k - 1, state, j, input]
-        blocks[:, 2, :, 1] = self.sq[2] * np.where(self._before, ts, 0.0)
-        self._jac[rows:] = np.diag(np.tile(self.sr, n))
+        const = config.constants()
+        self.sq, self.sr = const.sq, const.sr
+        self._before, self._jac = const.before, const.jac
 
     def residual(self, u_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.problem.horizon
@@ -209,20 +240,29 @@ class _Condensed:
 def _bounded_gn_step(
     jac: np.ndarray, r: np.ndarray, u: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
-    """Gauss-Newton step kept inside the box by pinning violated bounds."""
-    free = np.ones(u.size, dtype=bool)
-    delta = np.zeros(u.size)
+    """Gauss-Newton step kept inside the box by pinning violated bounds.
+
+    Each pass solves the normal equations ``H delta = -g`` with
+    ``H = J^T J`` and ``g = J^T r``.  A pinned input's row and column of
+    ``H`` become an identity row and column and its value moves to the
+    right-hand side, so every pass solves a system of one shape.
+    """
+    hess = jac.T @ jac
+    grad = jac.T @ r
+    pinned = np.zeros(u.size, dtype=bool)
+    system, rhs = hess, -grad
     for _ in range(u.size + 1):
-        rhs = r + jac[:, ~free] @ delta[~free]
-        if free.any():
-            step, *_ = np.linalg.lstsq(jac[:, free], -rhs, rcond=None)
-            delta[free] = step
+        delta = np.linalg.solve(system, rhs)
         trial = u + delta
-        viol = free & ((trial < lower) | (trial > upper))
+        viol = ~pinned & ((trial < lower) | (trial > upper))
         if not viol.any():
             break
         delta[viol] = np.clip(trial[viol], lower[viol], upper[viol]) - u[viol]
-        free[viol] = False
+        pinned |= viol
+        fixed = np.where(pinned, delta, 0.0)
+        system = np.where(pinned[:, None] | pinned, 0.0, hess)
+        system[pinned, pinned] = 1.0
+        rhs = np.where(pinned, fixed, -grad - hess @ fixed)
     return delta
 
 
@@ -275,7 +315,7 @@ def solve(
     n = problem.horizon
     if config.horizon != n:
         raise DimensionMismatchError("problem horizon does not match config")
-    lower, upper = config.bounds()
+    lower, upper, *_ = config.constants()
     if warm_start is not None:
         start = np.asarray(warm_start, dtype=float).reshape(-1)
         if start.size != 2 * n:
@@ -300,7 +340,7 @@ def solve(
 def _solve_from(
     problem: OcpProblem, config: OcpConfig, u: np.ndarray
 ) -> OcpSolution:
-    lower, upper = config.bounds()
+    lower, upper, *_ = config.constants()
     u = u.copy()
     model = _Condensed(problem, config)
     r, states = model.residual(u)

@@ -275,6 +275,26 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    # Rejected before planning, with the culprit named.
+    zero_r = write_config(
+        tmp_path, name="r.ini", sections={"nmpc": {"q_diag": "1, 1, 0", "r_diag": "0, 0"}}
+    )
+    high_gain = write_config(tmp_path, name="g.ini", sections={"fpid-t1": {"dist_kp": "12"}})
+    negative_seed = write_config(tmp_path, name="s.ini", experiment={"seed": "-1"})
+    good = write_config(tmp_path)
+    out = tmp_path / "never"
+    for argv, culprit in (
+        (["track", "--config", str(zero_r)], "[nmpc]"),
+        (["track", "--config", str(high_gain)], "[fpid-t1]"),
+        (["track", "--config", str(negative_seed)], "seed"),
+        (["track", "--config", str(good), "--seed", "-1"], "seed"),
+        (["horizon", "--config", str(good), "--seed", "-1"], "seed"),
+    ):
+        assert main([*argv, "--out", str(out)]) == EXIT_ERROR, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and culprit in err, err
+        assert not out.exists()
+
 
 def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     configs, walled, cwd = tmp_path / "configs", tmp_path / "walled", tmp_path / "cwd"

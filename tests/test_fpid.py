@@ -216,7 +216,9 @@ def test_engine_choice_from_config():
     with pytest.raises(ValueError):
         FpidConfig(frame="martian")
     # A zero or infinite scale divides the error into 0/0 or nothing, and
-    # a NaN threshold turns every range comparison false.
+    # a NaN threshold turns every range comparison false.  Gains outside
+    # [0, k_max] and footprints the type-2 engine rejects fail here, not
+    # when the first episode builds its controller.
     for bad in (
         {"de_scale": 0.0},
         {"dist_norm": 0.0},
@@ -226,6 +228,17 @@ def test_engine_choice_from_config():
         {"threshold": math.nan},
         {"threshold": -0.01},
         {"threshold": math.inf},
+        {"dist_kp": 12.0},
+        {"head_kd": -0.1},
+        {"dist_ki": 5.0, "k_max": 4.0},
+        {"k_max": 0.0},
+        {"k_max": math.inf},
+        {"i_max": 0.0},
+        {"i_max": math.nan},
+        {"fou_lag": 1.0},
+        {"fou_lag": -0.1},
+        {"fou_height_scale": 0.0},
+        {"fou_height_scale": 1.5},
     ):
         with pytest.raises(ValueError):
             FpidConfig(**bad)

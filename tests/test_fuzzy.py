@@ -292,6 +292,54 @@ def test_centroid_bounds_property_ignore_point_order(points, random):
     assert abs(after[1] - before[1]) <= tol
 
 
+@st.composite
+def weight_rows(draw, n):
+    """One interval weighting of n points: plain, tiny or subnormal."""
+    kind = draw(st.sampled_from(["plain", "tiny", "subnormal"]))
+    if kind == "subnormal":
+        fu = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))) * 5e-324
+        return np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), fu, 0.0), fu
+    fu = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    fl = fu * np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    scale = 1e-300 if kind == "tiny" else 1.0
+    return fl * scale, fu * scale
+
+
+@st.composite
+def batched_point_sets(draw):
+    """Points in [-1, 1] shared by a (rows, n) batch of weightings."""
+    n = draw(st.integers(1, 8))
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    rows = draw(st.lists(weight_rows(n), min_size=1, max_size=4))
+    assume(all(fu.sum() > 0.0 for _, fu in rows))
+    return x, np.array([fl for fl, _ in rows]), np.array([fu for _, fu in rows])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batched_point_sets())
+def test_batched_centroid_bounds_equal_per_row_calls_bit_for_bit(points):
+    x, fl, fu = points
+    y_left, y_right = km_centroid(x, fl, fu)
+    assert y_left.shape == y_right.shape == (len(fu),)
+    for row, (lower, upper) in enumerate(zip(fl, fu)):
+        single = km_centroid(x, lower, upper)
+        assert all(type(y) is float for y in single)
+        assert np.array(single).tobytes() == np.array([y_left[row], y_right[row]]).tobytes()
+    stacked = km_centroid(x, np.stack([fl, fl]), np.stack([fu, fu]))
+    assert np.array(stacked).tobytes() == np.array([[y_left] * 2, [y_right] * 2]).tobytes()
+
+
+def test_batch_with_an_empty_row_raises():
+    x = np.array([0.0, 0.5, 1.0])
+    fu = np.array([[0.2, 1.0, 0.4], [0.0, 0.0, 0.0]])
+    with pytest.raises(EmptyAggregateError):
+        km_centroid(x, np.zeros_like(fu), fu)
+    with pytest.raises(ValueError):
+        km_centroid(np.stack([x, x]), np.zeros_like(fu), fu + 1.0)
+    with pytest.raises(ValueError):
+        km_centroid(x, np.zeros((2, 3)), np.ones((3, 3)))
+
+
 def test_centroid_bounds_degenerate_interval():
     # Equal lower and upper weights collapse the interval to the plain
     # weighted mean.

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnitrack.kinematics import (
@@ -14,6 +14,7 @@ from omnitrack.kinematics import (
     forward_kinematics,
     integrate_pose,
     inverse_kinematics,
+    wheel_left_inverse,
     wheel_matrix,
     wrap_angle,
 )
@@ -151,4 +152,36 @@ def test_forward_kinematics_least_squares_consistency():
     recovered = forward_kinematics(geom, WheelSpeeds(mat @ vel))
     assert np.array([recovered.vx, recovered.vy, recovered.omega]) == pytest.approx(
         vel, abs=1e-12
+    )
+
+
+@st.composite
+def geometries(draw):
+    """Valid geometries whose wheel mounts are at least 0.3 rad apart."""
+    start = draw(st.floats(0.0, 0.5))
+    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=3, max_size=3))
+    angles = tuple(start + float(g) for g in np.cumsum([0.0, *gaps]))
+    return OmniGeometry(
+        draw(st.floats(0.05, 1.0)), draw(st.floats(0.01, 0.2)), angles
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(geometries(), st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4))
+def test_forward_kinematics_matches_least_squares(geometry, rates):
+    rates = np.array(rates)
+    expected = np.linalg.lstsq(wheel_matrix(geometry), rates, rcond=None)[0]
+    got = forward_kinematics(geometry, WheelSpeeds(rates)).as_array()
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_left_inverse_is_shared_and_read_only():
+    inverse = wheel_left_inverse(OmniGeometry())
+    assert inverse is wheel_left_inverse(OmniGeometry())
+    assert inverse.shape == (3, 4)
+    assert not inverse.flags.writeable
+    with pytest.raises(ValueError):
+        inverse[0, 0] = 1.0
+    np.testing.assert_allclose(
+        inverse @ wheel_matrix(OmniGeometry()), np.eye(3), rtol=0.0, atol=1e-15
     )

@@ -16,6 +16,7 @@ from omnitrack.nmpc import (
     reference_window,
     rollout,
     solve,
+    _bounded_gn_step,
     _Condensed,
 )
 from omnitrack.planning import ReferenceTrajectory
@@ -150,12 +151,31 @@ def recursive_jacobian(model, u_flat, states):
     return jac
 
 
-def random_condensed(rng, horizon):
+def lstsq_gn_step(jac, r, u, lower, upper):
+    """Bounded Gauss-Newton step by an SVD least-squares solve on the free
+    columns, with pinned inputs moved to the residual (the oracle)."""
+    free = np.ones(u.size, dtype=bool)
+    delta = np.zeros(u.size)
+    for _ in range(u.size + 1):
+        rhs = r + jac[:, ~free] @ delta[~free]
+        if free.any():
+            step, *_ = np.linalg.lstsq(jac[:, free], -rhs, rcond=None)
+            delta[free] = step
+        trial = u + delta
+        viol = free & ((trial < lower) | (trial > upper))
+        if not viol.any():
+            break
+        delta[viol] = np.clip(trial[viol], lower[viol], upper[viol]) - u[viol]
+        free[viol] = False
+    return delta
+
+
+def random_condensed(rng, horizon, q_diag=None, r_diag=None):
     """A condensed model near a random reference, with its input point."""
     cfg = OcpConfig(
         horizon=horizon,
-        q_diag=tuple(rng.uniform(0.5, 20.0, 3)),
-        r_diag=tuple(rng.uniform(0.1, 2.0, 2)),
+        q_diag=tuple(rng.uniform(0.5, 20.0, 3)) if q_diag is None else q_diag,
+        r_diag=tuple(rng.uniform(0.1, 2.0, 2)) if r_diag is None else r_diag,
     )
     u = rng.uniform([-1.5, -3.0], [1.5, 3.0], (horizon, 2))
     x0 = rng.uniform([-1.0, -1.0, -math.pi], [1.0, 1.0, math.pi])
@@ -196,6 +216,39 @@ def test_jacobian_matches_central_differences_and_the_recursion(horizon):
             du[i] = step
             fd[:, i] = (model.residual(u + du)[0] - model.residual(u - du)[0]) / (2 * step)
         np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
+
+
+weight = st.floats(0.1, 20.0)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 15, 20])
+@pytest.mark.parametrize("bounded", [False, True])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    q_diag=st.tuples(weight, weight, weight),
+    r_diag=st.tuples(weight, weight),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gn_step_matches_the_least_squares_oracle(horizon, bounded, q_diag, r_diag, seed):
+    rng = np.random.default_rng(seed)
+    model, u = random_condensed(rng, horizon, q_diag, r_diag)
+    r, states = model.residual(u)
+    jac = model.jacobian(u, states)
+    if bounded:
+        # A box around u narrower than the free step pins some inputs,
+        # at least the one given half the step's width.
+        free_step = lstsq_gn_step(jac, r, u, u - np.inf, u + np.inf)
+        width = np.abs(free_step) * rng.uniform(0.0, 2.0, u.size)
+        pin = rng.integers(u.size)
+        width[pin] = 0.5 * abs(free_step[pin])
+        lower, upper = u - width * rng.uniform(0.0, 1.0, u.size), u + width
+    else:
+        lower, upper = u - 1e3, u + 1e3
+    expected = lstsq_gn_step(jac, r, u, lower, upper)
+    delta = _bounded_gn_step(jac, r, u, lower, upper)
+    assert np.linalg.norm(delta - expected) <= 1e-12 * np.linalg.norm(expected)
+    if bounded:
+        assert np.any(u + delta != u + free_step)
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,6 +413,12 @@ def test_config_validation():
         OcpConfig(q_diag=(1.0, 1.0))
     with pytest.raises(ValueError):
         OcpConfig(r_diag=(-1.0, 1.0))
+    # A zero input weight can make the Gauss-Newton system singular.
+    with pytest.raises(ValueError):
+        OcpConfig(r_diag=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        OcpConfig(q_diag=(1.0, 1.0, 0.0), r_diag=(0.0, 0.0))
+    OcpConfig(q_diag=(1.0, 1.0, 0.0))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             OcpConfig(q_diag=(bad, 1.0, 1.0))
