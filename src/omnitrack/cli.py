@@ -19,7 +19,9 @@ Config files are INI-style.  ``[experiment]`` holds the scenario (map,
 start, goal, total_time, ts, seed, noise, controllers, out, np_values);
 one section per controller id (``[fpid-t1]``, ``[fpid-it2]``, ``[nmpc]``)
 carries that controller's tuning knobs and may be empty to accept the
-defaults.  ``map = standard`` selects the bundled map.
+defaults.  The section name alone picks the controller and its fuzzy
+engine; the sample time is ``[experiment] ts``, never a controller key.
+``map = standard`` selects the bundled map.
 """
 
 from __future__ import annotations
@@ -129,17 +131,11 @@ def _coerce_field(cls, name: str, raw: str):
     return float(raw)
 
 
-def _controller_config(controller: str, section, ts: float):
+def _controller_config(controller: str, section):
     """Build the controller's config dataclass from its INI section."""
-    if controller == "nmpc":
-        cls, kwargs = OcpConfig, {"ts": ts}
-    else:
-        cls = FpidConfig
-        kwargs = {"engine": "it2" if controller == "fpid-it2" else "t1"}
+    cls, kwargs = CONTROLLER_IDS[controller], {}
     known = {f.name for f in dataclasses.fields(cls)}
     for key in section:
-        if key == "engine":
-            raise CliError("'engine' is fixed by the section name")
         if key not in known:
             raise CliError(f"unknown key '{key}' in [{controller}]")
         try:
@@ -201,11 +197,11 @@ def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
             raise CliError(f"controller '{cid}' has no [{cid}] section")
 
     configs = {
-        cid: _controller_config(cid, parser[cid], ts) for cid in controllers
+        cid: _controller_config(cid, parser[cid]) for cid in controllers
     }
     # The horizon sweep reads [nmpc] even when the controller list is empty.
     if parser.has_section("nmpc") and "nmpc" not in configs:
-        configs["nmpc"] = _controller_config("nmpc", parser["nmpc"], ts)
+        configs["nmpc"] = _controller_config("nmpc", parser["nmpc"])
 
     np_values = _parse_int_list(exp.get("np_values", ""), "np_values") if exp.get(
         "np_values", ""
@@ -257,11 +253,9 @@ def _override_seed(config: ExperimentConfig, seed: int | None) -> None:
         config.seed = seed
 
 
-def _plan(config: ExperimentConfig):
-    grid = _load_map(config)
-    return grid, plan_reference(
-        grid, config.start, config.goal, config.total_time, config.ts
-    )
+def _plan(exp: ExperimentConfig):
+    grid = _load_map(exp)
+    return grid, plan_reference(grid, exp.start, exp.goal, exp.total_time, exp.ts)
 
 
 def cmd_plan(args) -> int:
@@ -352,13 +346,13 @@ def cmd_track(args) -> int:
 
 
 def cmd_step(args) -> int:
-    config = load_config(args.config, need_controllers=True)
+    exp = load_config(args.config, need_controllers=True)
     results = [
-        (cid, run_step_response(cid, config.controller_configs[cid], ts=config.ts))
-        for cid in config.controllers
+        (cid, run_step_response(cid, exp.controller_configs[cid], ts=exp.ts))
+        for cid in exp.controllers
     ]
 
-    out = _prepare_outdir(args, config, "step")
+    out = _prepare_outdir(args, exp, "step")
 
     def show(value):
         return "-" if value is None else f"{value:.3f}"
@@ -412,7 +406,7 @@ def cmd_horizon(args) -> int:
         if args.np_values
         else config.np_values
     )
-    base = config.controller_configs.get("nmpc") or OcpConfig(ts=config.ts)
+    base = config.controller_configs.get("nmpc") or OcpConfig()
     try:  # OcpConfig checks each horizon before anything is planned
         for h in np_values:
             dataclasses.replace(base, horizon=h)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from omnitrack.fuzzy import Type1Engine, Type2Engine
+from omnitrack.fuzzy import Type1Engine
 from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
 
 DISTANCE_THRESHOLD = 0.01
@@ -119,15 +119,12 @@ class FpidConfig:
     v_max: float = 1.5
     omega_max: float = 3.14
     frame: str = "body"
-    engine: str = "t1"
     fou_height_scale: float = 1.0
     fou_lag: float = 0.3
 
     def __post_init__(self):
         if self.frame not in ("body", "global"):
             raise ValueError("frame must be 'body' or 'global'")
-        if self.engine not in ("t1", "it2"):
-            raise ValueError("engine must be 't1' or 'it2'")
         if not self.v_max > 0.0 or not self.omega_max > 0.0:
             raise ValueError("velocity bounds must be positive")
         for name in ("dist_norm", "head_norm", "de_scale"):
@@ -146,25 +143,18 @@ class FpidConfig:
         if not 0.0 < self.fou_height_scale <= 1.0:
             raise ValueError("fou_height_scale must lie in (0, 1]")
 
-    def build_engine(self):
-        if self.engine == "it2":
-            return Type2Engine(
-                height_scale=self.fou_height_scale, lag=self.fou_lag
-            )
-        return Type1Engine()
-
 
 class FuzzyPidController:
     """Two-loop self-tuning fuzzy PID tracker.
 
     Holds mutable loop state across steps; one instance per episode.
-    An engine instance may be injected (e.g. a stub that returns zero
-    increments, which reduces the controller to fixed-gain PID).
+    The engine is type-1 unless one is injected (a type-2 engine, or a
+    stub that returns zero increments, which reduces it to fixed-gain PID).
     """
 
     def __init__(self, config: FpidConfig | None = None, engine=None):
         self.config = config if config is not None else FpidConfig()
-        self.engine = engine if engine is not None else self.config.build_engine()
+        self.engine = engine if engine is not None else Type1Engine()
         cfg = self.config
         self.distance = PidState(
             cfg.dist_kp, cfg.dist_ki, cfg.dist_kd, cfg.k_max, cfg.i_max

@@ -9,7 +9,8 @@ trajectory satisfies the shooting constraints by construction;
 bounds are enforced by an active-set pass inside each step and a
 projected-gradient certificate decides convergence.  Each step solves
 the Gauss-Newton normal equations, which are positive definite because
-every input weight is positive.
+every input weight is positive.  The prediction steps by the sample
+time that comes with the reference windows, in :class:`OcpProblem`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class OcpConfig:
     """Horizon, weights, bounds and solver tolerances."""
 
     horizon: int = 15
-    ts: float = 0.1
     q_diag: tuple[float, float, float] = (15.0, 15.0, 15.0)
     r_diag: tuple[float, float] = (1.0, 1.0)
     v_max: float = 1.5
@@ -49,8 +49,6 @@ class OcpConfig:
         if int(self.horizon) < 1:
             raise ValueError("horizon must be at least 1")
         self.horizon = int(self.horizon)
-        if not self.ts > 0.0:
-            raise ValueError("ts must be positive")
         self.q_diag = tuple(float(v) for v in self.q_diag)
         self.r_diag = tuple(float(v) for v in self.r_diag)
         if len(self.q_diag) != 3 or len(self.r_diag) != 2:
@@ -62,16 +60,16 @@ class OcpConfig:
             raise ValueError("r_diag weights must be positive and finite")
         if not self.v_max > 0.0 or not self.omega_max > 0.0:
             raise ValueError("input bounds must be positive")
-        if not self.kkt_tolerance > 0.0:
-            raise ValueError("kkt_tolerance must be positive")
+        if not 0.0 < self.kkt_tolerance < math.inf:
+            raise ValueError("kkt_tolerance must be positive and finite")
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be at least 1")
         self.max_iterations = int(self.max_iterations)
 
-    def constants(self) -> "_Constants":
-        """The arrays this configuration fixes, built once and shared."""
+    def constants(self, ts: float) -> "_Constants":
+        """The arrays this configuration fixes at sample time ts, shared."""
         return _constants(
-            self.horizon, self.ts, self.q_diag, self.r_diag, self.v_max, self.omega_max
+            self.horizon, ts, self.q_diag, self.r_diag, self.v_max, self.omega_max
         )
 
 
@@ -106,13 +104,16 @@ def _constants(horizon, ts, q_diag, r_diag, v_max, omega_max) -> _Constants:
 
 @dataclass
 class OcpProblem:
-    """One tracking instance: initial pose plus reference windows."""
+    """One tracking instance: initial pose plus reference windows sampled every ts."""
 
     initial_state: RobotPose
     x_ref: np.ndarray
     u_ref: np.ndarray
+    ts: float
 
     def __post_init__(self):
+        if not 0.0 < self.ts < math.inf:
+            raise ValueError("ts must be positive and finite")
         self.x_ref = np.asarray(self.x_ref, dtype=float)
         self.u_ref = np.asarray(self.u_ref, dtype=float)
         if self.x_ref.ndim != 2 or self.x_ref.shape[1] != 3:
@@ -183,7 +184,7 @@ def defects(problem: OcpProblem, config: OcpConfig, w: np.ndarray) -> float:
     states = w[2 * n :].reshape(n + 1, 3)
     worst = np.max(np.abs(states[0] - problem.initial_state.as_array()))
     for k in range(n):
-        nxt = rollout(states[k], inputs[k : k + 1], config.ts)[1]
+        nxt = rollout(states[k], inputs[k : k + 1], problem.ts)[1]
         gap = states[k + 1] - nxt
         gap[2] = wrap_angle(gap[2])
         worst = max(worst, float(np.max(np.abs(gap))))
@@ -195,16 +196,15 @@ class _Condensed:
 
     def __init__(self, problem: OcpProblem, config: OcpConfig):
         self.problem = problem
-        self.config = config
         self.x0 = problem.initial_state.as_array()
-        const = config.constants()
+        const = config.constants(problem.ts)
         self.sq, self.sr = const.sq, const.sr
         self._before, self._jac = const.before, const.jac
 
     def residual(self, u_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.problem.horizon
         inputs = u_flat.reshape(n, 2)
-        states = rollout(self.x0, inputs, self.config.ts)
+        states = rollout(self.x0, inputs, self.problem.ts)
         ex = states - self.problem.x_ref
         ex[:, 2] = wrap_angle(ex[:, 2])
         r = np.concatenate(
@@ -221,7 +221,7 @@ class _Condensed:
         ts^2 v_i (-sin, cos) theta_i; every other entry is zero.
         """
         n = self.problem.horizon
-        ts = self.config.ts
+        ts = self.problem.ts
         theta = states[:n, 2]
         cos, sin = np.cos(theta), np.sin(theta)
         jac = self._jac.copy()
@@ -293,11 +293,12 @@ def _steer_guess(problem: OcpProblem, config: OcpConfig) -> np.ndarray:
     dist = math.hypot(dx, dy)
     bearing = math.atan2(dy, dx) if dist > 1e-9 else target[2]
     turn = wrap_angle(bearing - x0[2])
-    turn_steps = min(n, max(1, math.ceil(abs(turn) / (config.omega_max * config.ts))))
+    ts = problem.ts
+    turn_steps = min(n, max(1, math.ceil(abs(turn) / (config.omega_max * ts))))
     guess = np.zeros((n, 2))
-    guess[:turn_steps, 1] = turn / (turn_steps * config.ts)
+    guess[:turn_steps, 1] = turn / (turn_steps * ts)
     if turn_steps < n:
-        guess[turn_steps:, 0] = dist / ((n - turn_steps) * config.ts)
+        guess[turn_steps:, 0] = dist / ((n - turn_steps) * ts)
     return guess.ravel()
 
 
@@ -315,7 +316,7 @@ def solve(
     n = problem.horizon
     if config.horizon != n:
         raise DimensionMismatchError("problem horizon does not match config")
-    lower, upper, *_ = config.constants()
+    lower, upper, *_ = config.constants(problem.ts)
     if warm_start is not None:
         start = np.asarray(warm_start, dtype=float).reshape(-1)
         if start.size != 2 * n:
@@ -340,7 +341,7 @@ def solve(
 def _solve_from(
     problem: OcpProblem, config: OcpConfig, u: np.ndarray
 ) -> OcpSolution:
-    lower, upper, *_ = config.constants()
+    lower, upper, *_ = config.constants(problem.ts)
     u = u.copy()
     model = _Condensed(problem, config)
     r, states = model.residual(u)
@@ -438,7 +439,7 @@ class NmpcController:
         """
         cfg = self.config
         x_ref, u_ref = reference_window(trajectory, k, cfg.horizon)
-        problem = OcpProblem(robot, x_ref, u_ref)
+        problem = OcpProblem(robot, x_ref, u_ref, trajectory.ts)
         warm = None
         if self.last_solution is not None:
             prev = self.last_solution.inputs

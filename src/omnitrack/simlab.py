@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from omnitrack.fpid import FpidConfig, FuzzyPidController
+from omnitrack.fuzzy import Type2Engine
 from omnitrack.kinematics import (
     OmniGeometry,
     RobotPose,
@@ -26,7 +27,8 @@ from omnitrack.kinematics import (
 from omnitrack.nmpc import NmpcController, OcpConfig
 from omnitrack.planning import ReferenceTrajectory, write_csv
 
-CONTROLLER_IDS = ("fpid-t1", "fpid-it2", "nmpc")
+# Each controller id and the config class it is tuned by.
+CONTROLLER_IDS = {"fpid-t1": FpidConfig, "fpid-it2": FpidConfig, "nmpc": OcpConfig}
 
 RUN_HEADER_BASE = [
     "n", "t",
@@ -96,8 +98,22 @@ class Episode:
     log: EpisodeLog | None = None
 
     def __post_init__(self):
-        if self.controller not in CONTROLLER_IDS:
+        cls = CONTROLLER_IDS.get(self.controller)
+        if cls is None:
             raise ValueError(f"unknown controller '{self.controller}'")
+        if not isinstance(self.controller_config, (cls, type(None))):
+            raise ValueError(f"controller '{self.controller}' takes an {cls.__name__}")
+
+
+def _controller(controller: str, config=None):
+    """The controller an id names, tuned by config (the defaults when None)."""
+    cfg = config if config is not None else CONTROLLER_IDS[controller]()
+    if controller == "nmpc":
+        return NmpcController(cfg)
+    if controller == "fpid-it2":
+        engine = Type2Engine(height_scale=cfg.fou_height_scale, lag=cfg.fou_lag)
+        return FuzzyPidController(cfg, engine)
+    return FuzzyPidController(cfg)
 
 
 def run_episode(episode: Episode) -> Episode:
@@ -109,12 +125,7 @@ def run_episode(episode: Episode) -> Episode:
     traj = episode.trajectory
     n_steps = len(traj)
     rng = np.random.default_rng(episode.seed)
-    cfg = episode.controller_config
-    if episode.controller == "nmpc":
-        ctrl = NmpcController(cfg or OcpConfig(ts=traj.ts))
-    else:
-        engine = "it2" if episode.controller == "fpid-it2" else "t1"
-        ctrl = FuzzyPidController(cfg or FpidConfig(engine=engine))
+    ctrl = _controller(episode.controller, episode.controller_config)
     pose = episode.initial_pose or RobotPose(*traj.poses[0])
 
     reference = traj.poses.copy()
@@ -283,7 +294,7 @@ def horizon_sweep(
     horizon: trajectory, noise, seed and the base ``OcpConfig`` (the
     default one when unset).  Each horizon runs a copy of it.
     """
-    base = template.controller_config or OcpConfig(ts=template.trajectory.ts)
+    base = template.controller_config or OcpConfig()
     rows = []
     for horizon in horizons:
         cfg = replace(base, horizon=horizon)

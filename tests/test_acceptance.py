@@ -154,28 +154,29 @@ def test_criterion_3_fuzzy_engine():
 def test_criterion_4_predictive_solver(ref30):
     with criterion(4, "predictive solver", 60.0):
         # Defects and bounds on every step of a full-length episode.
-        cfg = OcpConfig(ts=ref30.ts)
+        cfg = OcpConfig()
         controller = NmpcController(cfg)
         pose = RobotPose(*ref30.poses[0])
         for k in range(min(len(ref30), 301)):
             cmd = controller.command(pose, ref30, k)
             solution = controller.last_solution
             x_ref, u_ref = reference_window(ref30, k, cfg.horizon)
-            assert defects(OcpProblem(pose, x_ref, u_ref), cfg, solution.w) <= 1e-6
+            problem = OcpProblem(pose, x_ref, u_ref, ref30.ts)
+            assert defects(problem, cfg, solution.w) <= 1e-6
             assert np.all(np.abs(solution.inputs[:, 0]) <= cfg.v_max)
             assert np.all(np.abs(solution.inputs[:, 1]) <= cfg.omega_max)
             pose = integrate_pose(pose, cmd, ref30.ts)
 
         # Consistent references are zero-residual fixed points.
-        fixed_cfg = OcpConfig(horizon=15, ts=0.1)
+        fixed_cfg = OcpConfig(horizon=15)
         u_ref = np.column_stack([np.full(15, 0.6), np.full(15, 0.25)])
         x0 = np.array([0.1, -0.2, 0.3])
-        x_ref = rollout(x0, u_ref, fixed_cfg.ts)
-        fixed = solve(OcpProblem(RobotPose(*x0), x_ref, u_ref), fixed_cfg)
+        x_ref = rollout(x0, u_ref, 0.1)
+        fixed = solve(OcpProblem(RobotPose(*x0), x_ref, u_ref, 0.1), fixed_cfg)
         assert fixed.cost <= 1e-8
 
         # Two-step windows agree with a dense zooming grid search.
-        short = OcpConfig(horizon=2, ts=0.1)
+        short = OcpConfig(horizon=2)
         rng = np.random.default_rng(1234)
         for _ in range(10):
             x0 = rng.uniform([-0.3, -0.3, -1.0], [0.3, 0.3, 1.0])
@@ -183,7 +184,7 @@ def test_criterion_4_predictive_solver(ref30):
             x_ref[1] = x_ref[0] + rng.uniform(-0.15, 0.15, 3)
             x_ref[2] = x_ref[1] + rng.uniform(-0.15, 0.15, 3)
             u_ref = rng.uniform([-0.5, -1.0], [0.5, 1.0], (2, 2))
-            problem = OcpProblem(RobotPose(*x0), x_ref, u_ref)
+            problem = OcpProblem(RobotPose(*x0), x_ref, u_ref, 0.1)
             solution = solve(problem, short)
             _, oracle_best = zooming_grid_search(problem, short)
             assert abs(solution.cost - oracle_best) <= 1e-6

@@ -13,11 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omnitrack
-from omnitrack.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main, standard_map_path
-from omnitrack.simlab import EpisodeLog, tracking_metrics
+from omnitrack.cli import (
+    EXIT_ERROR,
+    EXIT_NO_PATH,
+    EXIT_OK,
+    load_config,
+    main,
+    standard_map_path,
+)
+from omnitrack.simlab import CONTROLLER_IDS, EpisodeLog, tracking_metrics
 
 from test_simlab import read_csv_floats
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 FREE_MAP = "8 8 0.5\n" + "\n".join(["0" * 8] * 8) + "\n"
 WALLED_MAP = "8 8 0.5\n" + "\n".join(
     ["0" * 8] * 4 + ["1" * 8] + ["0" * 8] * 3
@@ -269,6 +277,7 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
     bad_knobs = [
         write_config(tmp_path, name="f.ini", sections={"fpid-t1": {"de_scale": "0"}}),
         write_config(tmp_path, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}}),
+        write_config(tmp_path, name="k.ini", sections={"nmpc": {"kkt_tolerance": "inf"}}),
     ]
     for config in endless + bad_knobs:
         assert main(["track", "--config", str(config)]) == EXIT_ERROR, config.name
@@ -281,12 +290,19 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
     )
     high_gain = write_config(tmp_path, name="g.ini", sections={"fpid-t1": {"dist_kp": "12"}})
     negative_seed = write_config(tmp_path, name="s.ini", experiment={"seed": "-1"})
+    # The trajectory alone sets the sample time and the section name the engine.
+    nmpc_ts = write_config(
+        tmp_path, name="ts.ini", sections={"nmpc": {"horizon": "8", "ts": "0.05"}}
+    )
+    it2_engine = write_config(tmp_path, name="en.ini", sections={"fpid-it2": {"engine": "t1"}})
     good = write_config(tmp_path)
     out = tmp_path / "never"
     for argv, culprit in (
         (["track", "--config", str(zero_r)], "[nmpc]"),
         (["track", "--config", str(high_gain)], "[fpid-t1]"),
         (["track", "--config", str(negative_seed)], "seed"),
+        (["track", "--config", str(nmpc_ts)], "'ts' in [nmpc]"),
+        (["track", "--config", str(it2_engine)], "'engine' in [fpid-it2]"),
         (["track", "--config", str(good), "--seed", "-1"], "seed"),
         (["horizon", "--config", str(good), "--seed", "-1"], "seed"),
     ):
@@ -294,6 +310,14 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and culprit in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
+def test_bundled_configs_load(path):
+    config = load_config(path, need_controllers=False)
+    assert config.controller_configs
+    for cid, controller_config in config.controller_configs.items():
+        assert isinstance(controller_config, CONTROLLER_IDS[cid]), cid
 
 
 def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
@@ -307,6 +331,7 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     huge = write_config(configs, name="h.ini", experiment={"total_time": "1e16"})
     bad_fpid = write_config(configs, name="f.ini", sections={"fpid-t1": {"de_scale": "0"}})
     bad_nmpc = write_config(configs, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}})
+    nmpc_ts = write_config(configs, name="ts.ini", sections={"nmpc": {"ts": "0.05"}})
     blocked = write_config(walled)
     (walled / "arena.map").write_text(WALLED_MAP, encoding="ascii")
     monkeypatch.chdir(cwd)
@@ -319,6 +344,7 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
         (["plan", "--config", str(huge)], EXIT_ERROR),
         (["track", "--config", str(bad_fpid)], EXIT_ERROR),
         (["horizon", "--config", str(bad_nmpc)], EXIT_ERROR),
+        (["track", "--config", str(nmpc_ts)], EXIT_ERROR),
         (["horizon", "--config", str(blocked), "--np-values", "0"], EXIT_ERROR),
         (["plan", "--config", str(blocked)], EXIT_NO_PATH),
         (["track", "--config", str(blocked)], EXIT_NO_PATH),

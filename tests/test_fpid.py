@@ -12,6 +12,7 @@ from omnitrack.fpid import (
 )
 from omnitrack.fuzzy import GainDeltas, Type1Engine, Type2Engine
 from omnitrack.kinematics import RobotPose, wrap_angle
+from omnitrack.simlab import _controller
 
 
 class ZeroEngine:
@@ -193,10 +194,8 @@ def test_zero_engine_reduces_to_fixed_pid():
 
 
 def test_type1_and_degenerate_type2_controllers_agree():
-    t1 = FuzzyPidController(FpidConfig(engine="t1"))
-    t2 = FuzzyPidController(
-        FpidConfig(engine="it2", fou_lag=0.0, fou_height_scale=1.0)
-    )
+    t1 = _controller("fpid-t1")
+    t2 = _controller("fpid-it2", FpidConfig(fou_lag=0.0, fou_height_scale=1.0))
     robot = RobotPose(0.0, 0.0, 0.0)
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -209,10 +208,14 @@ def test_type1_and_degenerate_type2_controllers_agree():
 
 
 def test_engine_choice_from_config():
-    assert isinstance(FpidConfig(engine="t1").build_engine(), Type1Engine)
-    assert isinstance(FpidConfig(engine="it2").build_engine(), Type2Engine)
-    with pytest.raises(ValueError):
-        FpidConfig(engine="pid")
+    # The controller id picks the engine; the fou_* fields shape the type-2 one.
+    assert isinstance(_controller("fpid-t1").engine, Type1Engine)
+    assert isinstance(_controller("fpid-t1", FpidConfig(fou_lag=0.45)).engine, Type1Engine)
+    it2 = _controller("fpid-it2", FpidConfig(fou_lag=0.45, fou_height_scale=0.8)).engine
+    assert isinstance(it2, Type2Engine)
+    assert it2.error_fou == Type2Engine(height_scale=0.8, lag=0.45).error_fou
+    assert it2.delta_fou == Type2Engine(height_scale=0.8, lag=0.45).delta_fou
+    assert it2.error_fou != Type2Engine().error_fou
     with pytest.raises(ValueError):
         FpidConfig(frame="martian")
     # A zero or infinite scale divides the error into 0/0 or nothing, and

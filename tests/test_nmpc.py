@@ -111,7 +111,7 @@ def zooming_grid_search(problem, config, rounds=40, pts=9):
         ]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
         costs = oracle_cost(
-            x0, mesh.reshape(-1, 2, 2), problem.x_ref, problem.u_ref, q, r, config.ts
+            x0, mesh.reshape(-1, 2, 2), problem.x_ref, problem.u_ref, q, r, problem.ts
         )
         i = int(np.argmin(costs))
         if costs[i] < best_c:
@@ -126,7 +126,7 @@ def recursive_jacobian(model, u_flat, states):
     """Residual Jacobian by the forward sensitivity recursion
     S_{k+1} = A_k S_k + B_k along the rollout, one step at a time."""
     n = model.problem.horizon
-    ts = model.config.ts
+    ts = model.problem.ts
     inputs = u_flat.reshape(n, 2)
     jac = np.zeros((3 * (n + 1) + 2 * n, 2 * n))
     sens = np.zeros((3, 2 * n))
@@ -179,10 +179,10 @@ def random_condensed(rng, horizon, q_diag=None, r_diag=None):
     )
     u = rng.uniform([-1.5, -3.0], [1.5, 3.0], (horizon, 2))
     x0 = rng.uniform([-1.0, -1.0, -math.pi], [1.0, 1.0, math.pi])
-    x_ref = rollout(x0, u, cfg.ts)
+    x_ref = rollout(x0, u, 0.1)
     x_ref[:, :2] += rng.normal(0.0, 0.3, (horizon + 1, 2))
     u_ref = u + rng.normal(0.0, 0.3, (horizon, 2))
-    problem = OcpProblem(RobotPose(*x0), x_ref, u_ref)
+    problem = OcpProblem(RobotPose(*x0), x_ref, u_ref, 0.1)
     return _Condensed(problem, cfg), (u + rng.normal(0.0, 0.2, u.shape)).ravel()
 
 
@@ -264,8 +264,8 @@ def test_gn_step_matches_the_least_squares_oracle(horizon, bounded, q_diag, r_di
 def test_solver_inputs_stay_inside_the_box(horizon, offset, speed, turn, warm):
     cfg = OcpConfig(horizon=horizon, v_max=1.0, omega_max=2.0)
     u_ref = np.tile([speed, turn], (horizon, 1))
-    x_ref = rollout(np.zeros(3), u_ref, cfg.ts)
-    problem = OcpProblem(RobotPose(*offset), x_ref, u_ref)
+    x_ref = rollout(np.zeros(3), u_ref, 0.1)
+    problem = OcpProblem(RobotPose(*offset), x_ref, u_ref, 0.1)
     solution = solve(problem, cfg, warm_start=u_ref.ravel() if warm else None)
     assert np.all(np.abs(solution.inputs[0]) <= [cfg.v_max, cfg.omega_max])
     assert np.all(np.abs(solution.inputs) <= [cfg.v_max, cfg.omega_max])
@@ -282,13 +282,13 @@ def test_prediction_matches_hand_step():
 
 
 def test_consistent_reference_is_fixed_point():
-    cfg = OcpConfig(horizon=12, ts=0.1)
+    cfg = OcpConfig(horizon=12)
     u_ref = np.column_stack(
         [np.full(12, 0.7), np.linspace(0.4, -0.4, 12)]
     )
     x0 = np.array([0.3, -0.2, 0.4])
-    x_ref = rollout(x0, u_ref, cfg.ts)
-    problem = OcpProblem(RobotPose(*x0), x_ref, u_ref)
+    x_ref = rollout(x0, u_ref, 0.1)
+    problem = OcpProblem(RobotPose(*x0), x_ref, u_ref, 0.1)
     solution = solve(problem, cfg)
     assert solution.cost <= 1e-8
     assert solution.converged
@@ -297,7 +297,7 @@ def test_consistent_reference_is_fixed_point():
 
 
 def test_matches_grid_search_oracle_on_random_instances():
-    cfg = OcpConfig(horizon=2, ts=0.1)
+    cfg = OcpConfig(horizon=2)
     rng = np.random.default_rng(77)
     for _ in range(10):
         x0 = rng.uniform([-0.3, -0.3, -1.0], [0.3, 0.3, 1.0])
@@ -306,7 +306,7 @@ def test_matches_grid_search_oracle_on_random_instances():
         x_ref[1] = x_ref[0] + steps[0]
         x_ref[2] = x_ref[1] + steps[1]
         u_ref = rng.uniform([-0.5, -1.0], [0.5, 1.0], (2, 2))
-        problem = OcpProblem(RobotPose(*x0), x_ref, u_ref)
+        problem = OcpProblem(RobotPose(*x0), x_ref, u_ref, 0.1)
         solution = solve(problem, cfg)
         _, oracle_best = zooming_grid_search(problem, cfg)
         assert solution.cost <= oracle_best + 1e-6
@@ -315,7 +315,7 @@ def test_matches_grid_search_oracle_on_random_instances():
 
 def test_defects_are_negligible_and_bounds_hold():
     traj = circle_trajectory()
-    cfg = OcpConfig(horizon=10, ts=traj.ts, v_max=0.5, omega_max=0.45)
+    cfg = OcpConfig(horizon=10, v_max=0.5, omega_max=0.45)
     ctrl = NmpcController(cfg)
     pose = RobotPose(0.05, -0.05, 0.1)
     top_speed = 0.0
@@ -323,7 +323,7 @@ def test_defects_are_negligible_and_bounds_hold():
         cmd = ctrl.command(pose, traj, k)
         sol = ctrl.last_solution
         x_ref, u_ref = reference_window(traj, k, cfg.horizon)
-        assert defects(OcpProblem(pose, x_ref, u_ref), cfg, sol.w) <= 1e-6
+        assert defects(OcpProblem(pose, x_ref, u_ref, traj.ts), cfg, sol.w) <= 1e-6
         assert np.all(np.abs(sol.inputs[:, 0]) <= cfg.v_max + 1e-12)
         assert np.all(np.abs(sol.inputs[:, 1]) <= cfg.omega_max + 1e-12)
         top_speed = max(top_speed, float(np.hypot(cmd.vx, cmd.vy)))
@@ -333,22 +333,22 @@ def test_defects_are_negligible_and_bounds_hold():
 
 
 def test_heading_reference_shifted_by_two_pi_is_equivalent():
-    cfg = OcpConfig(horizon=8, ts=0.1)
+    cfg = OcpConfig(horizon=8)
     rng = np.random.default_rng(5)
     u_ref = rng.uniform([-0.5, -1.0], [0.5, 1.0], (8, 2))
     x0 = np.array([0.0, 0.0, 0.5])
-    x_ref = rollout(x0, u_ref, cfg.ts)
+    x_ref = rollout(x0, u_ref, 0.1)
     x_ref_shifted = x_ref.copy()
     x_ref_shifted[:, 2] += 2 * math.pi
-    base = solve(OcpProblem(RobotPose(*x0), x_ref, u_ref), cfg)
-    shifted = solve(OcpProblem(RobotPose(*x0), x_ref_shifted, u_ref), cfg)
+    base = solve(OcpProblem(RobotPose(*x0), x_ref, u_ref, 0.1), cfg)
+    shifted = solve(OcpProblem(RobotPose(*x0), x_ref_shifted, u_ref, 0.1), cfg)
     assert shifted.cost == pytest.approx(base.cost, abs=1e-9)
     assert np.allclose(shifted.inputs, base.inputs, atol=1e-9)
 
 
 def test_warm_start_cuts_iterations():
     traj = circle_trajectory()
-    cfg = OcpConfig(horizon=10, ts=traj.ts)
+    cfg = OcpConfig(horizon=10)
     ctrl = NmpcController(cfg)
     pose = RobotPose(0.0, 0.0, 0.0)
     warm_iters = []
@@ -358,7 +358,7 @@ def test_warm_start_cuts_iterations():
         if k >= 2:
             warm_iters.append(ctrl.last_solution.iterations)
             x_ref, u_ref = reference_window(traj, k, cfg.horizon)
-            cold = solve(OcpProblem(pose, x_ref, u_ref), cfg)
+            cold = solve(OcpProblem(pose, x_ref, u_ref, traj.ts), cfg)
             cold_iters.append(cold.iterations)
         pose = integrate_pose(pose, cmd, traj.ts)
     assert sum(warm_iters) < sum(cold_iters)
@@ -367,7 +367,7 @@ def test_warm_start_cuts_iterations():
 
 def test_command_points_along_predicted_heading():
     traj = circle_trajectory()
-    cfg = OcpConfig(horizon=10, ts=traj.ts)
+    cfg = OcpConfig(horizon=10)
     ctrl = NmpcController(cfg)
     cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), traj, 0)
     sol = ctrl.last_solution
@@ -379,10 +379,10 @@ def test_command_points_along_predicted_heading():
 
 
 def test_solution_layout_round_trips():
-    cfg = OcpConfig(horizon=5, ts=0.1)
+    cfg = OcpConfig(horizon=5)
     u_ref = np.zeros((5, 2))
     x_ref = np.zeros((6, 3))
-    problem = OcpProblem(RobotPose(0.1, 0.0, 0.0), x_ref, u_ref)
+    problem = OcpProblem(RobotPose(0.1, 0.0, 0.0), x_ref, u_ref, 0.1)
     sol = solve(problem, cfg)
     assert sol.horizon == 5
     assert sol.inputs.shape == (5, 2)
@@ -392,14 +392,14 @@ def test_solution_layout_round_trips():
 
 
 def test_dimension_validation():
-    cfg = OcpConfig(horizon=4, ts=0.1)
+    cfg = OcpConfig(horizon=4)
     with pytest.raises(DimensionMismatchError):
-        OcpProblem(RobotPose(0, 0, 0), np.zeros((4, 3)), np.zeros((4, 2)))
+        OcpProblem(RobotPose(0, 0, 0), np.zeros((4, 3)), np.zeros((4, 2)), 0.1)
     with pytest.raises(DimensionMismatchError):
-        OcpProblem(RobotPose(0, 0, 0), np.zeros((5, 2)), np.zeros((4, 2)))
-    problem = OcpProblem(RobotPose(0, 0, 0), np.zeros((5, 3)), np.zeros((4, 2)))
+        OcpProblem(RobotPose(0, 0, 0), np.zeros((5, 2)), np.zeros((4, 2)), 0.1)
+    problem = OcpProblem(RobotPose(0, 0, 0), np.zeros((5, 3)), np.zeros((4, 2)), 0.1)
     with pytest.raises(DimensionMismatchError):
-        solve(problem, OcpConfig(horizon=6, ts=0.1))
+        solve(problem, OcpConfig(horizon=6))
     with pytest.raises(DimensionMismatchError):
         solve(problem, cfg, warm_start=np.zeros(5))
 
@@ -407,8 +407,10 @@ def test_dimension_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         OcpConfig(horizon=0)
-    with pytest.raises(ValueError):
-        OcpConfig(ts=0.0)
+    # The sample time comes with the problem's reference windows.
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OcpProblem(RobotPose(0, 0, 0), np.zeros((2, 3)), np.zeros((1, 2)), bad)
     with pytest.raises(ValueError):
         OcpConfig(q_diag=(1.0, 1.0))
     with pytest.raises(ValueError):
@@ -426,6 +428,11 @@ def test_config_validation():
             OcpConfig(r_diag=(1.0, bad))
     with pytest.raises(ValueError):
         OcpConfig(v_max=0.0)
+    # An infinite tolerance would accept the start without a single iteration.
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OcpConfig(kkt_tolerance=bad)
+    OcpConfig(kkt_tolerance=1e300)
 
 
 def test_reference_window_pads_past_the_end():
@@ -446,9 +453,9 @@ def test_lateral_displacement_is_not_a_stationary_trap():
     # A target purely to the robot's side with aligned headings makes the
     # zero input a stationary point of the condensed cost; the solver
     # must still find a maneuver that beats parking.
-    cfg = OcpConfig(horizon=15, ts=0.1)
+    cfg = OcpConfig(horizon=15)
     x_ref = np.tile([0.0, 1.0, 0.0], (16, 1))
-    problem = OcpProblem(RobotPose(0.0, 0.0, 0.0), x_ref, np.zeros((15, 2)))
+    problem = OcpProblem(RobotPose(0.0, 0.0, 0.0), x_ref, np.zeros((15, 2)), 0.1)
     parked = ocp_cost(problem, cfg, np.concatenate([np.zeros(30), np.tile([0.0, 0.0, 0.0], 16)]))
     solution = solve(problem, cfg)
     assert solution.cost < parked - 1.0

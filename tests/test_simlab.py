@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from omnitrack.fpid import FpidConfig
 from omnitrack.kinematics import BodyVelocity, RobotPose, integrate_pose, wrap_angle
 from omnitrack.nmpc import OcpConfig
 from omnitrack.planning import ReferenceTrajectory
@@ -77,8 +78,17 @@ def test_noise_validation():
 
 
 def test_unknown_controller_is_rejected():
+    traj = circle_trajectory()
     with pytest.raises(ValueError):
-        Episode(trajectory=circle_trajectory(), controller="pid")
+        Episode(trajectory=traj, controller="pid")
+    # The id alone says what runs, so a config of the other kind is refused
+    # when the episode is built, also when a sweep replaces the config.
+    with pytest.raises(ValueError, match="'nmpc'"):
+        Episode(trajectory=traj, controller="nmpc", controller_config=FpidConfig())
+    with pytest.raises(ValueError, match="'fpid-t1'"):
+        Episode(trajectory=traj, controller="fpid-t1", controller_config=OcpConfig())
+    with pytest.raises(ValueError, match="'nmpc'"):
+        replace(Episode(traj, "nmpc"), controller_config=FpidConfig())
 
 
 def test_log_layout_and_initial_row():
@@ -237,7 +247,7 @@ def test_horizon_sweep_orders_short_horizons_worst():
 
 def test_horizon_sweep_accepts_a_base_config():
     traj = circle_trajectory(n=30)
-    base = OcpConfig(ts=traj.ts, q_diag=(5.0, 5.0, 5.0))
+    base = OcpConfig(q_diag=(5.0, 5.0, 5.0))
     template = Episode(traj, "nmpc", base, noise=NoiseModel(), seed=3)
     rows = horizon_sweep(template, [3])
     assert rows[0][0] == 3
