@@ -32,13 +32,13 @@ import math
 import shutil
 import sys
 import configparser
+import typing
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import svgplot
-from .fpid import FpidConfig
 from .nmpc import OcpConfig
 from .planning import (
     NoPathError,
@@ -121,14 +121,15 @@ def _parse_int_list(text: str, key: str) -> list[int]:
     return values
 
 
+# How an INI value becomes a config field, by the field's declared type.
+_INI_PARSERS = {int: int, float: float, str: str.strip}
+
+
 def _coerce_field(cls, name: str, raw: str):
-    if cls is OcpConfig and name in ("horizon", "max_iterations"):
-        return int(raw)
-    if cls is OcpConfig and name in ("q_diag", "r_diag"):
+    kind = typing.get_type_hints(cls)[name]
+    if typing.get_origin(kind) is tuple:
         return tuple(float(p) for p in raw.replace(",", " ").split())
-    if cls is FpidConfig and name == "frame":
-        return raw.strip()
-    return float(raw)
+    return _INI_PARSERS[kind](raw)
 
 
 def _controller_config(controller: str, section):

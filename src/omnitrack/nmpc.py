@@ -177,7 +177,7 @@ def rollout(x0: np.ndarray, inputs: np.ndarray, ts: float) -> np.ndarray:
     return np.array(states)
 
 
-def defects(problem: OcpProblem, config: OcpConfig, w: np.ndarray) -> float:
+def defects(problem: OcpProblem, w: np.ndarray) -> float:
     """Largest violation of the shooting equalities, infinity norm."""
     n = problem.horizon
     inputs = w[: 2 * n].reshape(n, 2)

@@ -419,10 +419,21 @@ def _invert_arc_length(
     spans: np.ndarray,
     targets: np.ndarray,
 ) -> np.ndarray:
-    """Bisection solve of arc_length(0, t) = target for each target.
+    """Safeguarded Newton solve of arc_length(0, t) = target for each target.
 
-    Every table interval lies inside one knot span, so each target's
-    tangent coefficients are gathered once, before the bisection.
+    Each target is sought in its table interval [lo, hi], which lies in
+    one knot span, so its tangent coefficients are gathered once.  The
+    search starts at the interval's linear interpolate.  Each pass
+    evaluates f = arc_length(lo_edge, t) - local, shrinks [lo, hi] by the
+    sign of f and steps to t - f / |c'(t)|.  The speed is the arc
+    length's derivative, so this Newton step converges quadratically, in
+    about 5 passes.  The bracket's midpoint replaces a step that leaves
+    [lo, hi], that a zero or NaN speed spoils, or that is longer than half
+    the step before last (rtsafe, Numerical Recipes 9.4): near a cusp the
+    quadrature's slope is not the speed, and Newton alone would crawl.
+    A target stops once its step is within 4 ulps of t or f is 0.  The
+    loop ends when every target has stopped, or after the 52 passes a
+    bisection would take.
     """
     total = cumulative[-1]
     targets = np.clip(targets, 0.0, total)
@@ -432,13 +443,30 @@ def _invert_arc_length(
     local = targets - cumulative[idx]
     span = spans[idx]
     base = curve._breaks[span]
-    tangent = np.repeat(curve._tangent[:, :, span, None], _GL_NODES.size, axis=-1)
+    speed_coeffs = curve._tangent[:, :, span]
+    tangent = np.repeat(speed_coeffs[..., None], _GL_NODES.size, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on a zero-length interval
+        t = lo + (hi - lo) * np.nan_to_num(local / (cumulative[idx + 1] - cumulative[idx]))
+    dx = dx_old = hi - lo
+    moving = np.ones(t.shape, dtype=bool)
     for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        below = _gl_arc(tangent, base, start, mid) < local
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        f = _gl_arc(tangent, base, start, t) - local
+        below = f < 0.0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        velocity = _horner(speed_coeffs, t - base)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero speed: bisect
+            newton = t - f / np.hypot(velocity[0], velocity[1])
+        fast = (lo <= newton) & (newton <= hi) & (np.abs(newton - t) <= 0.5 * dx_old)
+        step = np.where(fast, newton, 0.5 * (lo + hi))
+        moving &= f != 0.0
+        stepped = np.where(moving, step, t)
+        dx_old, dx = dx, np.abs(stepped - t)
+        moving &= dx > 4.0 * np.spacing(t)
+        t = stepped
+        if not moving.any():
+            break
+    return t
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -318,6 +319,28 @@ def test_bundled_configs_load(path):
     assert config.controller_configs
     for cid, controller_config in config.controller_configs.items():
         assert isinstance(controller_config, CONTROLLER_IDS[cid]), cid
+
+
+def ini_value(value):
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("cid", sorted(CONTROLLER_IDS))
+def test_every_default_round_trips_through_ini(tmp_path, cid):
+    # Each field is parsed by its declared type, so a default written out
+    # loads back equal and of the same type (an int never becomes a float).
+    default = CONTROLLER_IDS[cid]()
+    body = {f.name: ini_value(getattr(default, f.name)) for f in dataclasses.fields(default)}
+    path = write_config(tmp_path, experiment={"controllers": cid}, sections={cid: body})
+    loaded = load_config(path, need_controllers=True).controller_configs[cid]
+    assert loaded == default
+    for f in dataclasses.fields(default):
+        value, want = getattr(loaded, f.name), getattr(default, f.name)
+        assert type(value) is type(want), f.name
+        if isinstance(want, tuple):
+            assert [type(v) for v in value] == [type(v) for v in want], f.name
 
 
 def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):

@@ -292,7 +292,7 @@ def test_consistent_reference_is_fixed_point():
     solution = solve(problem, cfg)
     assert solution.cost <= 1e-8
     assert solution.converged
-    assert defects(problem, cfg, solution.w) <= 1e-12
+    assert defects(problem, solution.w) <= 1e-12
     assert np.allclose(solution.inputs, u_ref, atol=1e-6)
 
 
@@ -323,7 +323,7 @@ def test_defects_are_negligible_and_bounds_hold():
         cmd = ctrl.command(pose, traj, k)
         sol = ctrl.last_solution
         x_ref, u_ref = reference_window(traj, k, cfg.horizon)
-        assert defects(OcpProblem(pose, x_ref, u_ref, traj.ts), cfg, sol.w) <= 1e-6
+        assert defects(OcpProblem(pose, x_ref, u_ref, traj.ts), sol.w) <= 1e-6
         assert np.all(np.abs(sol.inputs[:, 0]) <= cfg.v_max + 1e-12)
         assert np.all(np.abs(sol.inputs[:, 1]) <= cfg.omega_max + 1e-12)
         top_speed = max(top_speed, float(np.hypot(cmd.vx, cmd.vy)))
@@ -388,7 +388,7 @@ def test_solution_layout_round_trips():
     assert sol.inputs.shape == (5, 2)
     assert sol.states.shape == (6, 3)
     assert ocp_cost(problem, cfg, sol.w) == pytest.approx(sol.cost, abs=1e-12)
-    assert defects(problem, cfg, sol.w) <= 1e-12
+    assert defects(problem, sol.w) <= 1e-12
 
 
 def test_dimension_validation():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from omnitrack import planning
+from omnitrack.cli import standard_map_path
 from omnitrack.planning import (
     ARC_LENGTH_TOL,
     DegenerateCurveError,
@@ -16,6 +18,8 @@ from omnitrack.planning import (
     OccupancyGrid,
     SmoothPath,
     _arc_table,
+    _gl_arc,
+    _invert_arc_length,
     astar,
     load_grid,
     plan_reference,
@@ -326,6 +330,94 @@ def test_arc_table_properties(points):
     scale = 1e-12 * (1.0 + np.abs(points).max())
     np.testing.assert_allclose(curve.point(0.0), points[0], rtol=0, atol=scale)
     np.testing.assert_allclose(curve.point(1.0), points[-1], rtol=0, atol=scale)
+
+
+def bisect_arc_length(curve, edges, cumulative, spans, targets):
+    """52 bisection steps per target: the reference for _invert_arc_length."""
+    targets = np.clip(targets, 0.0, cumulative[-1])
+    idx = np.clip(np.searchsorted(cumulative, targets, side="right") - 1, 0, len(edges) - 2)
+    lo = start = edges[idx]
+    hi = edges[idx + 1]
+    local = targets - cumulative[idx]
+    span = spans[idx]
+    tangent = curve._tangent[:, :, span, None]
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        below = _gl_arc(tangent, curve._breaks[span], start, mid) < local
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def assert_inverts_like_bisection(curve, n_targets=301):
+    edges, cumulative, spans = _arc_table(curve, ARC_LENGTH_TOL)
+    total = cumulative[-1]
+    targets = np.linspace(0.0, total, n_targets)
+    got = _invert_arc_length(curve, edges, cumulative, spans, targets)
+    want = bisect_arc_length(curve, edges, cumulative, spans, targets)
+    idx = np.clip(np.searchsorted(cumulative, targets, side="right") - 1, 0, len(edges) - 2)
+    # Newton is held to 4 units of the oracle's resolution: an ulp of t, or
+    # the bisection's last bracket (width * 2**-52, wider than an ulp near
+    # t = 0), or where the curve all but stops, the span of t over which
+    # the arc length moves by less than its rounding error.
+    speed = np.linalg.norm(curve.derivative(want), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on a point curve
+        flat = np.finfo(float).eps * total / speed
+    bracket = (edges[idx + 1] - edges[idx]) * 2.0**-52
+    unit = np.fmax.reduce([np.spacing(want), bracket, flat])
+    assert np.all(np.abs(got - want) <= 4.0 * unit)
+    span = spans[idx]
+    arc = cumulative[idx] + _gl_arc(
+        curve._tangent[:, :, span, None], curve._breaks[span], edges[idx], got
+    )
+    assert np.abs(arc - targets).max() <= 1e-12 * total
+
+
+@pytest.mark.parametrize("kind", ["default", "nonuniform", "padded", "cusp"])
+def test_newton_inversion_matches_bisection_oracle(kind):
+    # The padded curve has zero speed at both ends, where Newton's step is
+    # 0/0 and the bracket's midpoint stands in.  The cusp curve runs out
+    # and back along a line; near the turn the quadrature's slope is not
+    # the speed, and plain Newton ends 97 units off after 52 passes.
+    if kind == "cusp":
+        curve = SmoothPath([[0.0, 9.016], [0.0, -9.529], [0.0, 9.016], [0.0, 9.016]])
+    else:
+        curve = oracle_curve(kind)
+    assert_inverts_like_bisection(curve)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(control_polygons)
+def test_newton_inversion_matches_bisection_on_random_polygons(points):
+    assert_inverts_like_bisection(SmoothPath(points))
+
+
+def inversion_passes(monkeypatch, grid, start, goal, total_time, ts=0.1):
+    """Quadrature passes _invert_arc_length makes for one planned reference."""
+    curve = smooth(astar(grid, start, goal), grid)
+    edges, cumulative, spans = _arc_table(curve, ARC_LENGTH_TOL)
+    targets = np.linspace(0.0, cumulative[-1], int(total_time / ts) + 1)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return _gl_arc(*args)
+
+    monkeypatch.setattr(planning, "_gl_arc", counting)
+    _invert_arc_length(curve, edges, cumulative, spans, targets)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_newton_inversion_converges_in_a_few_passes(monkeypatch):
+    # Quadratic convergence takes about 5 passes; linear convergence (a
+    # bisection, or a Newton step that keeps falling back) takes dozens.
+    cases = [(load_grid(standard_map_path()), (0, 0), (19, 19), 30.0)]
+    for seed, size in ((3, 20), (8, 60), (17, 120)):
+        grid = random_grid(np.random.default_rng(seed), size=size)
+        cases.append((grid, (0, 0), (size - 1, size - 1), 1.5 * size))
+    for case in cases:
+        assert inversion_passes(monkeypatch, *case) <= 8
 
 
 # -------------------------------------------------------------- sampling
