@@ -424,8 +424,9 @@ def _invert_arc_length(
     Each target is sought in its table interval [lo, hi], which lies in
     one knot span, so its tangent coefficients are gathered once.  The
     search starts at the interval's linear interpolate.  Each pass
-    evaluates f = arc_length(lo_edge, t) - local, shrinks [lo, hi] by the
-    sign of f and steps to t - f / |c'(t)|.  The speed is the arc
+    evaluates f, the arc length from the interval's start to t minus the
+    target's share of the interval, shrinks [lo, hi] by the sign of f
+    and steps to t - f / |c'(t)|.  The speed is the arc
     length's derivative, so this Newton step converges quadratically, in
     about 5 passes.  The bracket's midpoint replaces a step that leaves
     [lo, hi], that a zero or NaN speed spoils, or that is longer than half
