@@ -11,17 +11,27 @@ to the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
-from omnitrack.fuzzy import Type1Engine
+from omnitrack.fuzzy import GainDeltas, Type1Engine
 from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
 
 DISTANCE_THRESHOLD = 0.01
 
+# The bytes of a normalized (e, de) pair: equal bytes are the same input
+# to an engine, and 0.0 and -0.0 differ.
+_PAIR = struct.Struct("dd")
+
 
 @dataclass
 class PidState:
-    """Gains plus integrator and previous error of one PID loop."""
+    """Gains plus integrator and previous error of one PID loop.
+
+    The last three fields remember the loop's last engine call: the
+    engine, the bytes of its normalized input and the increments it
+    returned.  They are a memo, not part of the PID law.
+    """
 
     kp: float
     ki: float
@@ -30,6 +40,9 @@ class PidState:
     i_max: float = 1.0
     integral: float = 0.0
     prev_error: float = 0.0
+    engine: object = field(default=None, repr=False, compare=False)
+    last_input: bytes | None = field(default=None, repr=False, compare=False)
+    last_deltas: GainDeltas | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.k_max > 0.0 or not self.i_max > 0.0:
@@ -79,7 +92,10 @@ def fpid_step(
 
     The engine sees the error and its rate normalized into [-1, 1] (the
     rate additionally divided by de_scale) and returns gain increments,
-    which are applied before the PID law is evaluated.
+    which are applied before the PID law is evaluated.  An engine is a
+    pure function of that pair, so while the pair repeats bit for bit
+    and the engine is the same object, the loop reuses the increments
+    of its last call instead of asking again.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -90,7 +106,11 @@ def fpid_step(
     derivative = (error - state.prev_error) / dt
     e_n = min(max(error / norm_scale, -1.0), 1.0)
     de_n = min(max(derivative / (norm_scale * de_scale), -1.0), 1.0)
-    dkp, dki, dkd = engine.infer(e_n, de_n)
+    key = _PAIR.pack(e_n, de_n)
+    if engine is not state.engine or key != state.last_input:
+        state.last_deltas = engine.infer(e_n, de_n)
+        state.engine, state.last_input = engine, key
+    dkp, dki, dkd = state.last_deltas
     state.kp = min(max(state.kp + dkp, 0.0), state.k_max)
     state.ki = min(max(state.ki + dki, 0.0), state.k_max)
     state.kd = min(max(state.kd + dkd, 0.0), state.k_max)

@@ -330,6 +330,40 @@ def km_centroid(
     return y_left, y_right
 
 
+def _covering_labels(sets: np.ndarray) -> np.ndarray:
+    """The output labels that can be nonzero at each grid point.
+
+    ``sets`` holds output sets indexed [..., label, grid]; a label covers
+    a point where any of its sets is nonzero there.  The result is
+    (m, grid): m, the most labels covering one point, is read from the
+    data (2 for a uniform partition).  A point covered by fewer labels
+    repeats its first one, and a point no label covers gets label 0.
+    """
+    nonzero = (sets != 0.0).reshape(-1, *sets.shape[-2:]).any(axis=0)
+    count = nonzero.sum(axis=0)
+    m = max(int(count.max()), 1)
+    # A stable sort of "is zero" puts the covering labels first, in order.
+    first = np.argsort(~nonzero, axis=0, kind="stable")[:m]
+    return np.where(np.arange(m)[:, None] < count, first, first[0])
+
+
+def _keep_freed_heap() -> None:
+    """Ask glibc's malloc to keep freed heap memory rather than trim it.
+
+    A type-2 inference allocates about 0.4 MB of temporaries, most of them
+    in ``km_centroid``, and frees them when it returns.  glibc hands freed
+    memory at the top of the heap back to the system once it exceeds the
+    trim threshold, 128 KiB by default.  Whether the temporaries sit at the
+    top depends on earlier allocations, down to the length of
+    ``PYTHONPATH``; where they do, every call faults its pages in again,
+    50 to 100 minor faults that take about a third of the call's time.
+    Freeing a block above the mmap threshold raises that threshold to the
+    block's size and the trim threshold to twice it, for the whole process
+    (mallopt(3), dynamic mmap threshold).  Other allocators ignore this.
+    """
+    np.empty(1 << 17)  # 1 MiB, never written, so never faulted in
+
+
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     dx = grid[1] - grid[0]
     w = np.full(grid.size, dx)
@@ -369,6 +403,19 @@ class _EngineBase:
         if not (math.isfinite(e) and math.isfinite(de)):
             raise ValueError("e and de must be finite")
 
+    def _aggregate(self, strengths: np.ndarray) -> np.ndarray:
+        """Max-min aggregate of each gain's fired output sets on the grid.
+
+        ``strengths`` is indexed [..., label].  Only the labels that cover
+        a grid point enter its max; the others give min(strength, 0) = 0
+        there, which cannot raise a max of memberships, so the result
+        equals the max over all labels bit for bit.  ``np.take`` keeps the
+        result C-contiguous: a strided row sends ``weights @ row`` down
+        another BLAS path, which can round the last bit differently.
+        """
+        covered = np.take(strengths, self._cover, axis=-1)
+        return np.minimum(covered, self._cover_sets).max(axis=-2)
+
     def _label_strengths(self, firing: np.ndarray) -> np.ndarray:
         """Strongest firing per gain, firing table and output label.
 
@@ -389,7 +436,9 @@ class Type1Engine(_EngineBase):
         resolution: int = DEFAULT_RESOLUTION,
     ):
         super().__init__(error_partition, delta_partition, resolution)
-        self._out_mfs = np.array([mf(self.grid) for mf in self.delta_partition.mfs])
+        out_mfs = np.array([mf(self.grid) for mf in self.delta_partition.mfs])
+        self._cover = _covering_labels(out_mfs)
+        self._cover_sets = np.take_along_axis(out_mfs, self._cover, axis=0)
 
     def infer(self, e: float, de: float) -> GainDeltas:
         """Crisp gain increments for normalized error and error rate."""
@@ -398,7 +447,7 @@ class Type1Engine(_EngineBase):
         mu_de = self.error_partition.fuzzify(de)
         firing = np.minimum(mu_e[:, None], mu_de[None, :])
         strengths = self._label_strengths(firing[None])[:, 0]
-        aggregates = np.minimum(strengths[:, :, None], self._out_mfs).max(axis=1)
+        aggregates = self._aggregate(strengths)  # [gain, grid], rows contiguous
         deltas = []
         for aggregate in aggregates:
             mass = self.weights @ aggregate
@@ -429,7 +478,7 @@ class Type2Engine(_EngineBase):
         super().__init__(error_partition, delta_partition, resolution)
         self.error_fou = FouPartition.from_t1(self.error_partition, height_scale, lag)
         self.delta_fou = FouPartition.from_t1(self.delta_partition, height_scale, lag)
-        self._out_sets = np.array(
+        out_sets = np.array(
             [
                 [mf.upper(self.grid) for mf in self.delta_fou.mfs],
                 [mf.lower(self.grid) for mf in self.delta_fou.mfs],
@@ -438,8 +487,11 @@ class Type2Engine(_EngineBase):
         # Rounding can lift a lower membership above the upper one only
         # within a few ulps of an apex, where ``FouPartition.fuzzify`` caps
         # it; the output grid must not hit such a point.
-        if np.any(self._out_sets[1] > self._out_sets[0]):
+        if np.any(out_sets[1] > out_sets[0]):
             raise ValueError("lower output set exceeds the upper set on the grid")
+        self._cover = _covering_labels(out_sets)
+        self._cover_sets = np.take_along_axis(out_sets, self._cover[None], axis=1)
+        _keep_freed_heap()
 
     def infer(self, e: float, de: float) -> GainDeltas:
         """Crisp gain increments for normalized error and error rate."""
@@ -448,7 +500,7 @@ class Type2Engine(_EngineBase):
         mu_de = np.stack(self.error_fou.fuzzify(de))
         firing = np.minimum(mu_e[:, :, None], mu_de[:, None, :])  # [upper/lower, e, de]
         strengths = self._label_strengths(firing)  # [gain, upper/lower, label]
-        aggregates = np.minimum(strengths[..., None], self._out_sets).max(axis=2)
+        aggregates = self._aggregate(strengths)  # [gain, upper/lower, grid]
         weighted = self.weights * aggregates  # [gain, upper/lower, grid]
         y_left, y_right = km_centroid(self.grid, weighted[:, 1], weighted[:, 0])
         return GainDeltas(*(0.5 * (y_left + y_right)).tolist())

@@ -124,7 +124,8 @@ def run_episode(episode: Episode) -> Episode:
     """
     traj = episode.trajectory
     n_steps = len(traj)
-    rng = np.random.default_rng(episode.seed)
+    # Only noise draws from the generator; building it imports numpy.random.
+    rng = np.random.default_rng(episode.seed) if episode.noise is not None else None
     ctrl = _controller(episode.controller, episode.controller_config)
     pose = episode.initial_pose or RobotPose(*traj.poses[0])
 

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import configuration
+
+import omnitrack
 
 
 def pytest_configure(config):
@@ -16,3 +23,27 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     configuration.set_hypothesis_home_dir(None)
     config.hypothesis_home.cleanup()
+
+
+@pytest.fixture
+def fresh_python(tmp_path):
+    """Run Python code in a new interpreter that imports this omnitrack.
+
+    Returns the code's standard output; a non-zero exit fails the test.
+    """
+    src = Path(omnitrack.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+
+    def run(code: str) -> str:
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        return result.stdout
+
+    return run

@@ -2,9 +2,6 @@ import contextlib
 import csv
 import dataclasses
 import io
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -13,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import omnitrack
 from omnitrack.cli import (
     EXIT_ERROR,
     EXIT_NO_PATH,
@@ -447,20 +443,9 @@ def test_fuzzed_configs_fail_cleanly(text, command):
             assert not out.exists()
 
 
-def test_cli_import_does_not_load_scipy(tmp_path):
-    src = Path(omnitrack.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+def test_cli_import_does_not_load_scipy(fresh_python):
     code = (
         "import sys, omnitrack.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"

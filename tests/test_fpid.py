@@ -1,8 +1,17 @@
+import contextlib
+import io
 import math
+import struct
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from omnitrack import fpid
+from omnitrack.cli import main
 from omnitrack.fpid import (
     FpidConfig,
     FuzzyPidController,
@@ -13,6 +22,8 @@ from omnitrack.fpid import (
 from omnitrack.fuzzy import GainDeltas, Type1Engine, Type2Engine
 from omnitrack.kinematics import RobotPose, wrap_angle
 from omnitrack.simlab import _controller
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class ZeroEngine:
@@ -272,3 +283,162 @@ def test_closed_loop_settles_into_tracking_band():
     tail = history[40:]
     assert max(dr for dr, _ in tail) < band
     assert max(dth for _, dth in tail) < 0.05
+
+
+# ------------------------------------------------ reuse of gain increments
+
+
+def always_infer_step(state, engine, error, dt, norm_scale, de_scale=10.0):
+    """The loop update that asks the engine at every step (the oracle)."""
+    derivative = (error - state.prev_error) / dt
+    e_n = min(max(error / norm_scale, -1.0), 1.0)
+    de_n = min(max(derivative / (norm_scale * de_scale), -1.0), 1.0)
+    dkp, dki, dkd = engine.infer(e_n, de_n)
+    state.kp = min(max(state.kp + dkp, 0.0), state.k_max)
+    state.ki = min(max(state.ki + dki, 0.0), state.k_max)
+    state.kd = min(max(state.kd + dkd, 0.0), state.k_max)
+    state.integral = min(max(state.integral + error * dt, -state.i_max), state.i_max)
+    output = state.kp * error + state.ki * state.integral + state.kd * derivative
+    state.prev_error = error
+    return output
+
+
+def bits(*values):
+    """Bytes of floats: equal exactly when the floats are equal bit for bit."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def loop_fields(state):
+    return bits(state.kp, state.ki, state.kd, state.integral, state.prev_error)
+
+
+class Probe:
+    """Wraps an engine; logs (name, input bytes) of every call to a shared list."""
+
+    def __init__(self, name, engine, calls):
+        self.name, self.engine, self.calls = name, engine, calls
+
+    def infer(self, e, de):
+        self.calls.append((self.name, bits(e, de)))
+        return self.engine.infer(e, de)
+
+
+_REAL_ENGINES = (Type1Engine(), Type2Engine())
+# Errors drawn from a small pool repeat often; the pool holds both signed
+# zeros, values that saturate the normalized error and rate, and apexes.
+_POOL = (0.0, -0.0, 1 / 3, -2 / 3, 0.5, -0.5, 1.0, 2.5, -2.5, 40.0, -40.0)
+
+
+@st.composite
+def error_runs(draw):
+    """(error, engine index) steps as runs, so inputs and engines repeat."""
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        error = draw(
+            st.one_of(
+                st.sampled_from((0.0, -0.0)),
+                st.sampled_from(_POOL),
+                st.floats(-3.0, 3.0, allow_subnormal=False),
+            )
+        )
+        engine = draw(st.integers(0, 1))
+        steps += [(error, engine)] * draw(st.integers(1, 5))
+    return steps
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(error_runs(), st.sampled_from([(1.0, 10.0), (math.pi, 10.0), (0.5, 2.0)]))
+@example([(0.0, 0), (-0.0, 0), (-0.0, 0), (0.0, 0), (0.0, 1), (0.0, 1)], (1.0, 10.0))
+def test_reuse_matches_the_always_infer_oracle_bit_for_bit(steps, scales):
+    norm_scale, de_scale = scales
+    oracle_calls, calls = [], []
+    oracle_engines = [Probe(i, engine, oracle_calls) for i, engine in enumerate(_REAL_ENGINES)]
+    engines = [Probe(i, engine, calls) for i, engine in enumerate(_REAL_ENGINES)]
+    oracle_state, state = PidState(1.0, 0.2, 0.1), PidState(1.0, 0.2, 0.1)
+    for error, which in steps:
+        expected = always_infer_step(
+            oracle_state, oracle_engines[which], error, 0.1, norm_scale, de_scale
+        )
+        got = fpid_step(state, engines[which], error, 0.1, norm_scale, de_scale)
+        assert bits(got) == bits(expected)
+        assert loop_fields(state) == loop_fields(oracle_state)
+    # One call per change of engine or of input bytes: 0.0 and -0.0 differ.
+    changes = [c for k, c in enumerate(oracle_calls) if k == 0 or c != oracle_calls[k - 1]]
+    assert calls == changes
+
+
+def test_a_repeated_input_is_inferred_once_per_engine_swap():
+    calls = []
+    a = Probe("a", ConstantEngine(0.01, 0.0, 0.0), calls)
+    b = Probe("b", ConstantEngine(-0.02, 0.0, 0.0), calls)
+    state = PidState(kp=1.0, ki=0.0, kd=0.0)
+    for engine in (a, a, a, b, b, a):
+        fpid_step(state, engine, 0.0, 0.1, 1.0)
+    zero = bits(0.0, 0.0)
+    assert calls == [("a", zero), ("b", zero), ("a", zero)]
+    assert state.kp == pytest.approx(1.0 + 4 * 0.01 - 2 * 0.02)  # reuses apply too
+    # The sign of a zero input is part of the input.
+    fpid_step(state, a, -0.0, 0.1, 1.0)
+    fpid_step(state, a, -0.0, 0.1, 1.0)
+    assert calls[3:] == [("a", bits(-0.0, -0.0)), ("a", bits(-0.0, 0.0))]
+
+
+def test_a_failed_inference_is_not_remembered():
+    class Flaky:
+        fail = True
+
+        def infer(self, e, de):
+            if self.fail:
+                raise ValueError("e and de must be finite")
+            return GainDeltas(0.01, 0.0, 0.0)
+
+    engine, state = Flaky(), PidState(kp=1.0, ki=0.0, kd=0.0)
+    with pytest.raises(ValueError):
+        fpid_step(state, engine, 0.0, 0.1, 1.0)
+    engine.fail = False
+    fpid_step(state, engine, 0.0, 0.1, 1.0)
+    assert state.kp == 1.01
+
+
+def count_infer_calls(monkeypatch, command, config):
+    """Engine calls per engine class, and the changes of each loop's input.
+
+    The changes are counted from the errors the loops see: a loop's
+    normalized (e, de) pair, or its engine, differs from its previous one.
+    """
+    calls, changes, last = Counter(), Counter(), {}
+    for cls in (Type1Engine, Type2Engine):
+
+        def counted(self, e, de, infer=cls.infer, name=cls.__name__):
+            calls[name] += 1
+            return infer(self, e, de)
+
+        monkeypatch.setattr(cls, "infer", counted)
+
+    def watched(state, engine, error, dt, norm_scale, de_scale=10.0, step=fpid.fpid_step):
+        derivative = (error - state.prev_error) / dt
+        e_n = min(max(error / norm_scale, -1.0), 1.0)
+        de_n = min(max(derivative / (norm_scale * de_scale), -1.0), 1.0)
+        key = (engine, bits(e_n, de_n))
+        if last.get(id(state), (None, None))[1] != key:
+            changes[type(engine).__name__] += 1
+        last[id(state)] = (state, key)  # holding the state keeps its id unique
+        return step(state, engine, error, dt, norm_scale, de_scale)
+
+    monkeypatch.setattr(fpid, "fpid_step", watched)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", str(CONFIG_DIR / config), "--out", "out"]) == 0
+    return calls, changes
+
+
+@pytest.mark.parametrize(
+    "command, config, expected",
+    [("track", "track.ini", 459), ("step", "step.ini", 252)],
+)
+def test_engines_are_called_once_per_change_of_a_loops_input(
+    monkeypatch, tmp_path, command, config, expected
+):
+    monkeypatch.chdir(tmp_path)
+    calls, changes = count_infer_calls(monkeypatch, command, config)
+    assert changes == {"Type1Engine": expected, "Type2Engine": expected}
+    assert calls == changes

@@ -1,5 +1,6 @@
 import itertools
 import math
+import platform
 from fractions import Fraction
 
 import numpy as np
@@ -596,3 +597,140 @@ def test_engine_deltas_stay_inside_the_increment_universe(e, de):
     lo, hi = DELTA_RANGE
     for engine in _ENGINES:
         assert all(lo <= value <= hi for value in engine.infer(e, de))
+
+
+# ------------------------------------------------- covering-set aggregation
+
+
+def wide_partition(lo, hi):
+    """Uneven apexes under wide triangles: up to four sets overlap a point."""
+    shares = (0.0, 0.1, 0.25, 0.45, 0.6, 0.85, 1.0)
+    half = 0.3 * (hi - lo)
+    return FuzzyPartition(
+        lo, hi, tuple(TriMf(a - half, a, a + half) for a in (lo + s * (hi - lo) for s in shares))
+    )
+
+
+def full_label_aggregate(strengths, out_sets):
+    """Max over all seven labels of min(strength, output set): the oracle."""
+    return np.minimum(strengths[..., None], out_sets).max(axis=-2)
+
+
+def output_sets(engine):
+    if isinstance(engine, Type1Engine):
+        return np.array([mf(engine.grid) for mf in engine.delta_partition.mfs])
+    fou = engine.delta_fou.mfs
+    return np.array([[mf.upper(engine.grid) for mf in fou], [mf.lower(engine.grid) for mf in fou]])
+
+
+def label_strengths(engine, e, de):
+    """[gain, label] strengths of Type-1, [gain, upper/lower, label] of type-2."""
+    if isinstance(engine, Type1Engine):
+        mu_e, mu_de = engine.error_partition.fuzzify(e), engine.error_partition.fuzzify(de)
+        return engine._label_strengths(np.minimum(mu_e[:, None], mu_de[None, :])[None])[:, 0]
+    mu_e, mu_de = np.stack(engine.error_fou.fuzzify(e)), np.stack(engine.error_fou.fuzzify(de))
+    return engine._label_strengths(np.minimum(mu_e[:, :, None], mu_de[:, None, :]))
+
+
+def full_label_infer(engine, e, de):
+    """The engines' inference with the full seven-label aggregate."""
+    aggregates = full_label_aggregate(label_strengths(engine, e, de), output_sets(engine))
+    if isinstance(engine, Type1Engine):
+        return GainDeltas(
+            *(float((engine.weights * a) @ engine.grid / (engine.weights @ a)) for a in aggregates)
+        )
+    weighted = engine.weights * aggregates
+    y_left, y_right = km_centroid(engine.grid, weighted[:, 1], weighted[:, 0])
+    return GainDeltas(*(0.5 * (y_left + y_right)).tolist())
+
+
+_AGGREGATION_ENGINES = {
+    "t1": Type1Engine(),
+    "t1-wide-output": Type1Engine(delta_partition=wide_partition(*DELTA_RANGE)),
+    "t1-shouldered": Type1Engine(
+        error_partition=shouldered_partition(), delta_partition=shouldered_partition()
+    ),
+    "it2": Type2Engine(),
+    "it2-fou-0.8-0.45": Type2Engine(height_scale=0.8, lag=0.45),
+    "it2-degenerate": Type2Engine(lag=0.0),
+    "it2-wide-lag": Type2Engine(height_scale=0.6, lag=0.7),
+    "it2-wide-output": Type2Engine(
+        delta_partition=wide_partition(*DELTA_RANGE), height_scale=0.9, lag=0.3
+    ),
+    "it2-shouldered": Type2Engine(
+        error_partition=shouldered_partition(),
+        delta_partition=shouldered_partition(),
+        height_scale=0.8,
+        lag=0.6,
+    ),
+}
+
+
+def test_covering_labels_are_read_from_the_output_sets():
+    slots = {name: engine._cover.shape[0] for name, engine in _AGGREGATION_ENGINES.items()}
+    assert slots["t1"] == slots["it2"] == slots["it2-wide-lag"] == 2
+    assert slots["t1-wide-output"] == slots["it2-wide-output"] == 4
+    for engine in _AGGREGATION_ENGINES.values():
+        sets = output_sets(engine).reshape(-1, len(LABELS), engine.resolution)
+        covered = np.zeros((len(LABELS), engine.resolution), dtype=bool)
+        covered[engine._cover, np.arange(engine.resolution)] = True
+        # Every label nonzero at a point is among that point's slots.
+        assert not ((sets != 0.0).any(axis=0) & ~covered).any()
+
+
+# Set apexes and clamp edges of the error partitions, their neighbours,
+# both signed zeros and inputs beyond the universe.
+_EDGES = sorted(
+    {0.0, 1.5, -1.5}
+    | {
+        x
+        for mf in FuzzyPartition.uniform(*ERROR_RANGE).mfs + shouldered_partition().mfs
+        for c in (mf.left, mf.apex, mf.right)
+        for x in (c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf))
+    }
+)
+inputs = st.one_of(
+    st.sampled_from([*_EDGES, -0.0]), st.floats(-1.5, 1.5, allow_subnormal=False)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(e=inputs, de=inputs)
+def test_covering_set_aggregation_equals_all_labels_bit_for_bit(e, de):
+    for name, engine in _AGGREGATION_ENGINES.items():
+        strengths = label_strengths(engine, e, de)
+        aggregates = engine._aggregate(strengths)
+        # A strided row can send weights @ row down another BLAS path.
+        assert aggregates.flags.c_contiguous
+        expected = full_label_aggregate(strengths, output_sets(engine))
+        assert aggregates.tobytes() == expected.tobytes(), (name, e, de)
+        got, want = engine.infer(e, de), full_label_infer(engine, e, de)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (name, e, de)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc's trim policy")
+def test_type2_inference_does_not_fault_its_temporaries_in_again(fresh_python):
+    # Without the engine's hint, glibc may return the ~0.4 MB that one call
+    # frees to the system, and the next call faults it in again (50 to 100
+    # minor faults per call, depending on where earlier allocations sit).
+    # The hint raises the mmap threshold, so a 512 KiB block then comes
+    # from the heap, next to a small one, rather than from a new mapping.
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from omnitrack.fuzzy import Type2Engine\n"
+        "small = np.empty(100)\n"
+        "engine = Type2Engine()\n"
+        "block = np.empty(1 << 16)\n"
+        "print(abs(block.ctypes.data - small.ctypes.data) < 2**32)\n"
+        "points = [(k / 50 - 1.0, 0.7 - k / 90) for k in range(100)]\n"
+        "for e, de in points[:10]:\n"
+        "    engine.infer(e, de)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for e, de in points:\n"
+        "    engine.infer(e, de)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(points))\n"
+    )
+    same_region, faults_per_call = fresh_python(code).split()
+    assert same_region == "True"
+    assert float(faults_per_call) < 1.0

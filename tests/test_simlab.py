@@ -152,6 +152,21 @@ def test_same_seed_reproduces_the_run_bit_for_bit():
     assert not np.array_equal(a.measured, c.measured)
 
 
+def test_noise_free_episode_does_not_import_numpy_random(fresh_python):
+    # Only noise draws from the generator, and building one imports
+    # numpy.random, which costs about 10 ms in a fresh process.
+    code = (
+        "import sys, numpy as np\n"
+        "from omnitrack.planning import ReferenceTrajectory\n"
+        "from omnitrack.simlab import Episode, run_episode\n"
+        "traj = ReferenceTrajectory(0.1, np.zeros((5, 3)), np.zeros(5), np.zeros(5))\n"
+        "for controller in ('fpid-t1', 'fpid-it2', 'nmpc'):\n"
+        "    run_episode(Episode(trajectory=traj, controller=controller, seed=3))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert fresh_python(code).strip() == "False"
+
+
 # -------------------------------------------------------------- metrics
 
 
