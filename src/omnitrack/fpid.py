@@ -30,7 +30,8 @@ class PidState:
 
     The last three fields remember the loop's last engine call: the
     engine, the bytes of its normalized input and the increments it
-    returned.  They are a memo, not part of the PID law.
+    returned.  They are a memo, not part of the PID law, so they are not
+    constructor parameters: every state starts with an empty memo.
     """
 
     kp: float
@@ -40,9 +41,11 @@ class PidState:
     i_max: float = 1.0
     integral: float = 0.0
     prev_error: float = 0.0
-    engine: object = field(default=None, repr=False, compare=False)
-    last_input: bytes | None = field(default=None, repr=False, compare=False)
-    last_deltas: GainDeltas | None = field(default=None, repr=False, compare=False)
+    engine: object = field(default=None, init=False, repr=False, compare=False)
+    last_input: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    last_deltas: GainDeltas | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.k_max > 0.0 or not self.i_max > 0.0:
@@ -170,6 +173,10 @@ class FuzzyPidController:
     Holds mutable loop state across steps; one instance per episode.
     The engine is type-1 unless one is injected (a type-2 engine, or a
     stub that returns zero increments, which reduces it to fixed-gain PID).
+    An injected engine must be a pure function of its (e, de) input: each
+    loop calls ``engine.infer`` only when its input changes and reuses the
+    last increments while it repeats, so an engine that keeps state (one
+    that adapts, counts or logs its calls) sees fewer calls than steps.
     """
 
     def __init__(self, config: FpidConfig | None = None, engine=None):

@@ -465,6 +465,12 @@ class Type2Engine(_EngineBase):
     whose Karnik-Mendel centroid interval is averaged into the crisp
     increment.  With lag = 0 and height_scale = 1 the footprint is
     degenerate and the output equals the type-1 engine's.
+
+    Constructing one has a process-wide side effect under glibc: it frees
+    a 1 MiB block, which raises malloc's mmap and trim thresholds for the
+    whole process so that each call's freed temporaries are kept rather
+    than returned to the system and faulted in again (see
+    ``_keep_freed_heap``).  Other allocators ignore it.
     """
 
     def __init__(

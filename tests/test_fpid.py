@@ -383,6 +383,15 @@ def test_a_repeated_input_is_inferred_once_per_engine_swap():
     assert calls[3:] == [("a", bits(-0.0, -0.0)), ("a", bits(-0.0, 0.0))]
 
 
+@pytest.mark.parametrize("memo", ["engine", "last_input", "last_deltas"])
+def test_the_memo_is_not_a_constructor_parameter(memo):
+    with pytest.raises(TypeError):
+        PidState(1.0, 0.0, 0.0, **{memo: None})
+    state = PidState(1.0, 0.0, 0.0)
+    assert (state.engine, state.last_input, state.last_deltas) == (None, None, None)
+    assert state == PidState(1.0, 0.0, 0.0) and "last" not in repr(state)
+
+
 def test_a_failed_inference_is_not_remembered():
     class Flaky:
         fail = True
