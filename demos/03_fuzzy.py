@@ -13,18 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from omnitrack import RuleBase, Type1Engine, Type2Engine
+from omnitrack import Type1Engine, Type2Engine
+from omnitrack.fuzzy import KP_RULES, LABELS
 from omnitrack.svgplot import line_chart
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-rules = RuleBase.default()
-labels = ("NB", "NM", "NS", "ZO", "PS", "PM", "PB")
 print("proportional-gain rule table (rows = e, columns = de):")
-print("     " + " ".join(f"{c:>3}" for c in labels))
-for i, row in enumerate(rules.kp):
-    print(f"  {labels[i]:>3}" + " ".join(f"{labels[cell]:>3}" for cell in row))
+print("     " + " ".join(f"{c:>3}" for c in LABELS))
+for label, row in zip(LABELS, KP_RULES):
+    print(f"  {label:>3}" + " ".join(f"{cell:>3}" for cell in row))
 
 t1 = Type1Engine()
 print("\ncrisp increments at a few operating points (type-1):")

@@ -42,10 +42,7 @@ from omnitrack.planning import (
     write_trajectory_csv,
 )
 from omnitrack.fuzzy import (
-    FouPartition,
-    FuzzyPartition,
     GainDeltas,
-    RuleBase,
     Type1Engine,
     Type2Engine,
     km_centroid,
@@ -103,10 +100,7 @@ __all__ = [
     "sample_reference",
     "smooth",
     "write_trajectory_csv",
-    "FouPartition",
-    "FuzzyPartition",
     "GainDeltas",
-    "RuleBase",
     "Type1Engine",
     "Type2Engine",
     "km_centroid",

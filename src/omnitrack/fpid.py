@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from omnitrack.fuzzy import GainDeltas, Type1Engine
+from omnitrack.fuzzy import GainDeltas, Type1Engine, check_footprint
 from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
 
 DISTANCE_THRESHOLD = 0.01
@@ -161,10 +161,10 @@ class FpidConfig:
         for name in gains:
             if not 0.0 <= getattr(self, name) <= self.k_max:
                 raise ValueError(f"{name} must lie in [0, k_max]")
-        if not 0.0 <= self.fou_lag < 1.0:
-            raise ValueError("fou_lag must lie in [0, 1)")
-        if not 0.0 < self.fou_height_scale <= 1.0:
-            raise ValueError("fou_height_scale must lie in (0, 1]")
+        try:
+            check_footprint(self.fou_height_scale, self.fou_lag)
+        except ValueError as err:
+            raise ValueError(f"fou_{err}") from None  # the message names the argument
 
 
 class FuzzyPidController:

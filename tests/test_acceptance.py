@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from omnitrack.cli import main, standard_map_path
-from omnitrack.fuzzy import RuleBase, Type1Engine, Type2Engine, km_centroid
+from omnitrack.fuzzy import (
+    KD_RULES,
+    KI_RULES,
+    KP_RULES,
+    LABELS,
+    Type1Engine,
+    Type2Engine,
+    km_centroid,
+)
 from omnitrack.kinematics import (
     BodyVelocity,
     OmniGeometry,
@@ -110,13 +118,12 @@ def test_criterion_3_fuzzy_engine():
     with criterion(3, "fuzzy engine", 10.0):
         # Rule base against the independently transcribed 147-cell table.
         kp, ki, kd = audit_tables()
-        rules = RuleBase.default()
         cells = 0
         for i in range(7):
             for j in range(7):
-                assert rules.kp[i][j] == kp[i][j]
-                assert rules.ki[i][j] == ki[i][j]
-                assert rules.kd[i][j] == kd[i][j]
+                assert LABELS.index(KP_RULES[i][j]) == kp[i][j]
+                assert LABELS.index(KI_RULES[i][j]) == ki[i][j]
+                assert LABELS.index(KD_RULES[i][j]) == kd[i][j]
                 cells += 3
         assert cells == 147
 

@@ -292,6 +292,10 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         tmp_path, name="ts.ini", sections={"nmpc": {"horizon": "8", "ts": "0.05"}}
     )
     it2_engine = write_config(tmp_path, name="en.ini", sections={"fpid-it2": {"engine": "t1"}})
+    # A lag that rounds a lower set's foot onto its apex.
+    flat_fou = write_config(
+        tmp_path, name="fl.ini", sections={"fpid-it2": {"fou_lag": "0.9999999999999998"}}
+    )
     good = write_config(tmp_path)
     out = tmp_path / "never"
     for argv, culprit in (
@@ -300,6 +304,7 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         (["track", "--config", str(negative_seed)], "seed"),
         (["track", "--config", str(nmpc_ts)], "'ts' in [nmpc]"),
         (["track", "--config", str(it2_engine)], "'engine' in [fpid-it2]"),
+        (["track", "--config", str(flat_fou)], "fou_lag"),
         (["track", "--config", str(good), "--seed", "-1"], "seed"),
         (["horizon", "--config", str(good), "--seed", "-1"], "seed"),
     ):

@@ -224,9 +224,10 @@ def test_engine_choice_from_config():
     assert isinstance(_controller("fpid-t1", FpidConfig(fou_lag=0.45)).engine, Type1Engine)
     it2 = _controller("fpid-it2", FpidConfig(fou_lag=0.45, fou_height_scale=0.8)).engine
     assert isinstance(it2, Type2Engine)
-    assert it2.error_fou == Type2Engine(height_scale=0.8, lag=0.45).error_fou
-    assert it2.delta_fou == Type2Engine(height_scale=0.8, lag=0.45).delta_fou
-    assert it2.error_fou != Type2Engine().error_fou
+    probes = [(0.4, -0.2), (0.8, 0.1), (-0.6, 0.5)]
+    outputs = [it2.infer(e, de) for e, de in probes]
+    assert outputs == [Type2Engine(height_scale=0.8, lag=0.45).infer(e, de) for e, de in probes]
+    assert outputs != [Type2Engine().infer(e, de) for e, de in probes]
     with pytest.raises(ValueError):
         FpidConfig(frame="martian")
     # A zero or infinite scale divides the error into 0/0 or nothing, and
@@ -251,11 +252,36 @@ def test_engine_choice_from_config():
         {"i_max": math.nan},
         {"fou_lag": 1.0},
         {"fou_lag": -0.1},
+        # Lags this close to 1 round a lower set's foot onto its apex.
+        {"fou_lag": 0.9999999999999998},
+        {"fou_lag": 0.9999999999999999},
         {"fou_height_scale": 0.0},
         {"fou_height_scale": 1.5},
     ):
         with pytest.raises(ValueError):
             FpidConfig(**bad)
+    with pytest.raises(ValueError, match="fou_lag"):
+        FpidConfig(fou_lag=0.9999999999999998)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    lag=st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.999999999999999, 0.9999999999999998, math.nextafter(1.0, 0.0)]),
+    ),
+    height_scale=st.one_of(st.floats(0.0, 1.0), st.just(5e-324)),
+    e=st.floats(-1.0, 1.0),
+    de=st.floats(-1.0, 1.0),
+)
+def test_every_accepted_footprint_builds_a_finite_type2_engine(lag, height_scale, e, de):
+    try:
+        config = FpidConfig(fou_lag=lag, fou_height_scale=height_scale)
+    except ValueError:
+        return
+    engine = _controller("fpid-it2", config).engine
+    for point in ((e, de), (0.0, 0.0), (0.5, -1 / 3)):
+        assert all(math.isfinite(value) for value in engine.infer(*point)), point
 
 
 def test_closed_loop_settles_into_tracking_band():

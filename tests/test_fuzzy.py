@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from omnitrack.fuzzy import (
     DELTA_RANGE,
     ERROR_RANGE,
+    KD_RULES,
+    KI_RULES,
+    KP_RULES,
     LABELS,
     EmptyAggregateError,
-    FouMf,
-    FouPartition,
-    FuzzyPartition,
     GainDeltas,
-    RuleBase,
-    TriMf,
     Type1Engine,
     Type2Engine,
-    _trapezoid_weights,
+    _Triangles,
     km_centroid,
 )
 
@@ -55,109 +53,149 @@ def audit_tables():
     return kp, ki, kd
 
 
+# --------------------------------------------------------------- oracle
+# The tests' own sets: one triangle call per set, built from the design
+# (seven uniform sets per universe, lower sets moved inward by the lag).
+
+
+def trapezoid_weights(grid):
+    dx = grid[1] - grid[0]
+    w = np.full(grid.size, dx)
+    w[0] = w[-1] = 0.5 * dx
+    return w
+
+
+def triangle(x, left, apex, right):
+    """Membership in one triangle with unit peak at the apex."""
+    x = np.asarray(x, dtype=float)
+    rise = (x - left) / (apex - left)
+    fall = (right - x) / (right - apex)
+    return np.clip(np.minimum(rise, fall), 0.0, 1.0)
+
+
+def oracle_corners(universe, lag=None):
+    """(left, apex, right) of the seven uniform sets on a universe, one
+    list per row: the upper sets, then with a lag the lower sets."""
+    apexes = np.linspace(*universe, len(LABELS))
+    h = apexes[1] - apexes[0]
+    upper = [(a - h, a, a + h) for a in apexes]
+    if lag is None:
+        return [upper]
+    return [upper, [(l + lag * (a - l), a, r - lag * (r - a)) for l, a, r in upper]]
+
+
+def oracle_memberships(x, universe, footprint=None):
+    """Memberships of x indexed [row, label] (and point, for an array x).
+
+    ``footprint`` is type-2's (height_scale, lag): its lower row is the
+    height times the lower triangle, capped at the upper row.
+    """
+    height, lag = footprint or (1.0, None)
+    rows = [np.array([triangle(x, *c) for c in row]) for row in oracle_corners(universe, lag)]
+    if lag is None:
+        return np.stack(rows)
+    upper, lower = rows
+    return np.stack([upper, np.minimum(height * lower, upper)])
+
+
+def clamp(x):
+    lo, hi = ERROR_RANGE
+    return min(max(float(x), lo), hi)
+
+
+def oracle_firing(e, de, footprint=None):
+    """Rule firings indexed [row, e label, de label]."""
+    mu_e = oracle_memberships(clamp(e), ERROR_RANGE, footprint)
+    mu_de = oracle_memberships(clamp(de), ERROR_RANGE, footprint)
+    return np.minimum(mu_e[:, :, None], mu_de[:, None, :])
+
+
 # ------------------------------------------------------------ rule base
 
 
 def test_rule_tables_match_audit_copy():
-    kp, ki, kd = audit_tables()
-    rules = RuleBase.default()
-    assert np.array_equal(rules.kp, kp)
-    assert np.array_equal(rules.ki, ki)
-    assert np.array_equal(rules.kd, kd)
+    for table, audit in zip((KP_RULES, KI_RULES, KD_RULES), audit_tables()):
+        assert np.array_equal([[LABELS.index(cell) for cell in row] for row in table], audit)
 
 
 # ----------------------------------------------------------- partitions
 
 
 def test_membership_triangle_shape():
-    mf = TriMf(-1.0, 0.0, 2.0)
-    assert mf(0.0) == 1.0
-    assert mf(-1.0) == 0.0
-    assert mf(2.0) == 0.0
-    assert mf(-0.5) == pytest.approx(0.5)
-    assert mf(1.0) == pytest.approx(0.5)
-    assert mf(3.0) == 0.0
+    # The oracle's triangle, on an asymmetric set.
+    assert triangle(0.0, -1.0, 0.0, 2.0) == 1.0
+    assert triangle(-1.0, -1.0, 0.0, 2.0) == 0.0
+    assert triangle(2.0, -1.0, 0.0, 2.0) == 0.0
+    assert triangle(-0.5, -1.0, 0.0, 2.0) == pytest.approx(0.5)
+    assert triangle(1.0, -1.0, 0.0, 2.0) == pytest.approx(0.5)
+    assert triangle(3.0, -1.0, 0.0, 2.0) == 0.0
 
 
 def test_uniform_partition_crosses_at_half():
-    part = FuzzyPartition.uniform(-1.0, 1.0)
-    apexes = np.array([mf.apex for mf in part.mfs])
-    assert apexes == pytest.approx(np.linspace(-1, 1, 7))
+    sets = _Triangles(ERROR_RANGE)
+    apexes = np.linspace(*ERROR_RANGE, 7)
+    assert np.array_equal(np.diag(sets(apexes)[0]), np.ones(7))
     # Adjacent sets overlap exactly at membership one half.
-    mid = 0.5 * (apexes[2] + apexes[3])
-    mu = part.fuzzify(mid)
+    mu = sets(0.5 * (apexes[2] + apexes[3]))[0, :, 0]
     assert mu[2] == pytest.approx(0.5)
     assert mu[3] == pytest.approx(0.5)
     assert mu.sum() == pytest.approx(1.0)
 
 
 def test_fuzzify_clamps_out_of_range():
-    part = FuzzyPartition.uniform(-1.0, 1.0)
-    assert np.array_equal(part.fuzzify(5.0), part.fuzzify(1.0))
-    assert np.array_equal(part.fuzzify(-5.0), part.fuzzify(-1.0))
-    assert part.fuzzify(1.0)[6] == 1.0
+    for engine in (Type1Engine(), Type2Engine()):
+        assert engine._fuzzify(5.0, -5.0).tobytes() == engine._fuzzify(1.0, -1.0).tobytes()
+        assert engine._fuzzify(5.0, -5.0)[0, 6, 0] == 1.0  # PB error, NB rate
 
 
 def test_fou_construction_and_containment():
-    umf = TriMf(-1.0, 0.0, 1.0)
-    fou = FouMf.from_umf(umf, height_scale=0.8, lag=0.25)
-    xs = np.linspace(-1.2, 1.2, 201)
-    assert np.all(fou.lower(xs) <= fou.upper(xs) + 1e-15)
-    assert fou.lmf.left == pytest.approx(-0.75)
-    assert fou.lmf.right == pytest.approx(0.75)
-    assert fou.lower(0.0) == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        FouMf.from_umf(umf, lag=1.0)
-    with pytest.raises(ValueError):
-        FouMf.from_umf(umf, height_scale=0.0)
+    sets = _Triangles(ERROR_RANGE, height=0.8, lag=0.25)
+    upper, lower = sets(np.linspace(-1.2, 1.2, 201))
+    assert np.all(lower <= upper)
+    # The ZO lower set peaks at the height, and its feet sit a quarter of
+    # the half-support (1/3) inward of the upper set's.
+    assert sets(np.array([-0.25, 0.0, 0.25]))[1, 3] == pytest.approx([0.0, 0.8, 0.0], abs=1e-12)
+    with pytest.raises(ValueError, match="lag"):
+        Type2Engine(lag=1.0)
+    with pytest.raises(ValueError, match="height_scale"):
+        Type2Engine(height_scale=0.0)
 
 
-def shouldered_partition():
-    """Non-uniform partition whose end sets are shoulders (apex on a foot)."""
-    apexes = (-1.0, -0.6, -0.25, 0.05, 0.3, 0.7, 1.0)
-    mfs = [TriMf(-1.0, -1.0, -0.6)]
-    mfs += [TriMf(a, b, c) for a, b, c in zip(apexes, apexes[1:], apexes[2:])]
-    mfs += [TriMf(0.7, 1.0, 1.0)]
-    return FuzzyPartition(-1.0, 1.0, tuple(mfs))
-
-
-def membership_probes(partition, seed=0):
+def membership_probes(universe, seed=0):
     """Every set corner, points just beside them, and seeded uniform draws."""
-    corners = {c for mf in partition.mfs for c in (mf.left, mf.apex, mf.right)}
+    corners = {float(c) for row in oracle_corners(universe) for mf in row for c in mf}
     probes = set(corners)
     for c in corners:
         probes.update((math.nextafter(c, -math.inf), math.nextafter(c, math.inf)))
-    probes.update(np.random.default_rng(seed).uniform(-1.3, 1.3, 300).tolist())
+    lo, hi = universe
+    probes.update(np.random.default_rng(seed).uniform(1.3 * lo, 1.3 * hi, 300).tolist())
     return sorted(probes)
 
 
-@pytest.mark.parametrize(
-    "partition",
-    [FuzzyPartition.uniform(-1.0, 1.0), shouldered_partition()],
-    ids=["uniform", "shouldered"],
+# The engines' sets on both universes: error (inputs) and delta (outputs).
+universes = pytest.mark.parametrize(
+    "universe", [ERROR_RANGE, DELTA_RANGE], ids=["uniform", "uniform-delta"]
 )
-def test_fuzzify_equals_one_membership_call_per_set(partition):
-    for x in membership_probes(partition):
-        clamped = min(max(x, partition.lo), partition.hi)
-        expected = np.array([mf(clamped) for mf in partition.mfs])
-        assert partition.fuzzify(x).tobytes() == expected.tobytes(), x
 
 
-@pytest.mark.parametrize(
-    "partition",
-    [FuzzyPartition.uniform(-1.0, 1.0), shouldered_partition()],
-    ids=["uniform", "shouldered"],
-)
+@universes
+def test_fuzzify_equals_one_membership_call_per_set(universe):
+    sets = _Triangles(universe)
+    lo, hi = universe
+    for x in membership_probes(universe):
+        clamped = min(max(x, lo), hi)
+        assert sets(clamped).tobytes() == oracle_memberships(clamped, universe).tobytes(), x
+
+
+@universes
 @pytest.mark.parametrize("height_scale, lag", [(1.0, 0.3), (0.8, 0.45), (0.6, 0.0)])
-def test_fou_fuzzify_equals_one_membership_call_per_set(partition, height_scale, lag):
-    fou = FouPartition.from_t1(partition, height_scale, lag)
-    for x in membership_probes(partition, seed=1):
-        clamped = min(max(x, fou.lo), fou.hi)
-        upper = np.array([mf.upper(clamped) for mf in fou.mfs])
-        lower = np.array([mf.lower(clamped) for mf in fou.mfs])
-        got_upper, got_lower = fou.fuzzify(x)
-        assert got_upper.tobytes() == upper.tobytes(), x
-        assert got_lower.tobytes() == np.minimum(lower, upper).tobytes(), x
+def test_fou_fuzzify_equals_one_membership_call_per_set(universe, height_scale, lag):
+    sets = _Triangles(universe, height_scale, lag)
+    lo, hi = universe
+    for x in membership_probes(universe, seed=1):
+        clamped = min(max(x, lo), hi)
+        expected = oracle_memberships(clamped, universe, (height_scale, lag))
+        assert sets(clamped).tobytes() == expected.tobytes(), x
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,8 +208,7 @@ def test_fou_fuzzify_equals_one_membership_call_per_set(partition, height_scale,
     lag=st.one_of(st.just(0.3), st.floats(min_value=0.0, max_value=0.99)),
 )
 def test_fou_lower_never_exceeds_upper(x, height_scale, lag):
-    fou = FouPartition.from_t1(FuzzyPartition.uniform(-1.0, 1.0), height_scale, lag)
-    upper, lower = fou.fuzzify(x)
+    upper, lower = _Triangles(ERROR_RANGE, height_scale, lag)(clamp(x))
     assert np.all(lower >= 0.0) and np.all(lower <= upper)
 
 
@@ -242,6 +279,13 @@ def test_centroid_bounds_of_subnormal_weights():
     # x * 5e-324 underflows to zero unless the weights are rescaled first.
     x = np.array([0.25, 0.5])
     assert km_centroid(x, np.zeros(2), np.array([0.0, 5e-324])) == (0.5, 0.5)
+    # Scaled only to bring the peak near 1, the product 0.5 * 6.67e-322
+    # stayed subnormal and rounded by 0.7 %: the right bound was 0.5037.
+    x, fl, fu = np.array([0.0, 0.5]), np.array([0.0, 6.67e-322]), np.array([0.5, 2.6e-161])
+    y_left, y_right = km_centroid(x, fl, fu)
+    lo, hi = brute_force_centroid_bounds(x, fl, fu)
+    assert y_right == hi == 0.5
+    assert y_left == pytest.approx(lo, rel=1e-15)
 
 
 weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
@@ -370,25 +414,28 @@ def test_centroid_bounds_validation():
             km_centroid(x, np.zeros(2), np.array([1.0, bad]))
 
 
-def centroid_of_fou(fou, lo, hi, resolution=1001):
-    """Centroid interval of one interval type-2 set over [lo, hi]."""
+def centroid_of_fou(corners, height_scale, lag, lo, hi, resolution=1001):
+    """Centroid interval of one interval type-2 triangle over [lo, hi]."""
     grid = np.linspace(lo, hi, resolution)
-    weights = _trapezoid_weights(grid)
-    return km_centroid(grid, weights * fou.lower(grid), weights * fou.upper(grid))
+    weights = trapezoid_weights(grid)
+    left, apex, right = corners
+    upper = triangle(grid, left, apex, right)
+    lower = height_scale * triangle(
+        grid, left + lag * (apex - left), apex, right - lag * (right - apex)
+    )
+    return km_centroid(grid, weights * lower, weights * upper)
 
 
 def test_fou_centroid_properties():
-    umf = TriMf(-0.05, 0.0, 0.1)
-    exact = (-0.05 + 0.0 + 0.1) / 3.0  # centroid of a triangle
-    tight = FouMf.from_umf(umf, height_scale=1.0, lag=0.0)
-    y_left, y_right = centroid_of_fou(tight, -0.1, 0.1)
+    corners = (-0.05, 0.0, 0.1)
+    exact = sum(corners) / 3.0  # centroid of a triangle
+    y_left, y_right = centroid_of_fou(corners, 1.0, 0.0, -0.1, 0.1)
     assert y_left == pytest.approx(y_right, abs=1e-12)
     assert y_left == pytest.approx(exact, abs=1e-4)  # grid discretization
 
     widths = []
     for lag in (0.1, 0.3, 0.6):
-        fou = FouMf.from_umf(umf, height_scale=0.9, lag=lag)
-        lo, hi = centroid_of_fou(fou, -0.1, 0.1)
+        lo, hi = centroid_of_fou(corners, 0.9, lag, -0.1, 0.1)
         assert lo <= y_left + 1e-9 and hi >= y_right - 1e-9
         widths.append(hi - lo)
     assert widths == sorted(widths)  # more uncertainty, wider interval
@@ -459,8 +506,7 @@ def test_type2_wide_lag_fires_no_lower_set_yet_stays_finite(lag):
     # With lag > 0.5 the lower triangles leave gaps: at e = 0.5 no lower
     # set fires, so the lower bound of every rule firing is zero.
     engine = Type2Engine(lag=lag)
-    _, lower = engine.error_fou.fuzzify(0.5)
-    assert not lower.any()
+    assert not engine._fuzzify(0.5, 0.0)[1].any()
     lo, hi = DELTA_RANGE
     for value in engine.infer(0.5, 0.0):
         assert math.isfinite(value) and lo <= value <= hi
@@ -477,22 +523,20 @@ def test_type2_differs_from_type1_with_uncertainty():
 
 
 def test_resolution_insensitivity():
+    # The engines' 1001-point grid against the oracle on a ten times finer one.
     width = DELTA_RANGE[1] - DELTA_RANGE[0]
-    coarse = Type1Engine(resolution=1001)
-    fine = Type1Engine(resolution=10001)
-    for e, de in ((0.0, 0.0), (0.35, -0.15), (-0.9, 0.7), (1.0, 1.0)):
-        a, b = coarse.infer(e, de), fine.infer(e, de)
-        for x, y in zip(a, b):
-            assert abs(x - y) < 1e-4 * width
+    for engine, footprint in ((Type1Engine(), None), (Type2Engine(), (1.0, 0.3))):
+        for e, de in ((0.0, 0.0), (0.35, -0.15), (-0.9, 0.7), (1.0, 1.0)):
+            a, b = engine.infer(e, de), reference_infer(e, de, footprint, points=10001)
+            for x, y in zip(a, b):
+                assert abs(x - y) < 1e-4 * width
 
 
 def test_engine_inputs_expect_normalized_scale():
-    engine = Type1Engine()
     lo, hi = ERROR_RANGE
-    assert engine.error_partition.lo == lo
-    assert engine.error_partition.hi == hi
-    # Out-of-range inputs clamp rather than fail.
-    assert engine.infer(50.0, -50.0) == engine.infer(hi, lo)
+    for engine in (Type1Engine(), Type2Engine()):
+        # Out-of-range inputs clamp rather than fail.
+        assert engine.infer(50.0, -50.0) == engine.infer(hi, lo)
 
 
 def test_type2_input_next_to_the_zero_apex_does_not_crash():
@@ -504,7 +548,7 @@ def test_type2_input_next_to_the_zero_apex_does_not_crash():
     assert all(lo <= value <= hi for value in out)
     # About one in a hundred inputs this close to the apex rounded so.
     for x in np.random.default_rng(3).uniform(-1e-15, 1e-15, 2000):
-        upper, lower = engine.error_fou.fuzzify(x)
+        upper, lower = engine._fuzzify(x, x)
         assert np.all(lower <= upper), x
 
 
@@ -517,72 +561,46 @@ def test_engines_reject_non_finite_inputs(engine_class, e, de):
         engine_class().infer(e, de)
 
 
-def reference_infer(engine, e, de):
-    """The engines' inference as a loop: one membership call per set and
-    one ``np.maximum.at`` per gain table and firing bound."""
-
-    def clamp(x):
-        return min(max(float(x), engine.error_partition.lo), engine.error_partition.hi)
-
-    def strengths(firing, table):
-        out = np.zeros(len(LABELS))
-        np.maximum.at(out, table.ravel(), firing.ravel())
-        return out
+def reference_infer(e, de, footprint=None, points=1001):
+    """The engines' inference as a loop over the oracle's sets: one
+    ``np.maximum.at`` per gain table and firing bound, and the max over
+    all seven labels.  ``footprint`` is type-2's (height_scale, lag)."""
 
     def aggregate(firing, table, out_sets):
-        s = strengths(firing, table)
-        return np.max(np.minimum(s[:, None], out_sets), axis=0)
+        strengths = np.zeros(len(LABELS))
+        np.maximum.at(strengths, table.ravel(), firing.ravel())
+        return np.max(np.minimum(strengths[:, None], out_sets), axis=0)
 
-    tables = (engine.rules.kp, engine.rules.ki, engine.rules.kd)
-    grid, weights = engine.grid, engine.weights
-    if isinstance(engine, Type1Engine):
-        mu_e = np.array([mf(clamp(e)) for mf in engine.error_partition.mfs])
-        mu_de = np.array([mf(clamp(de)) for mf in engine.error_partition.mfs])
-        firing = np.minimum(mu_e[:, None], mu_de[None, :])
-        out_sets = np.array([mf(grid) for mf in engine.delta_partition.mfs])
-        deltas = []
-        for table in tables:
-            agg = aggregate(firing, table, out_sets)
-            deltas.append(float((weights * agg) @ grid / (weights @ agg)))
-        return GainDeltas(*deltas)
-
-    def fou(x):
-        upper = np.array([mf.upper(clamp(x)) for mf in engine.error_fou.mfs])
-        lower = np.array([mf.lower(clamp(x)) for mf in engine.error_fou.mfs])
-        return upper, np.minimum(lower, upper)
-
-    (ue, le), (ud, ld) = fou(e), fou(de)
-    firing_upper = np.minimum(ue[:, None], ud[None, :])
-    firing_lower = np.minimum(le[:, None], ld[None, :])
-    out_upper = np.array([mf.upper(grid) for mf in engine.delta_fou.mfs])
-    out_lower = np.array([mf.lower(grid) for mf in engine.delta_fou.mfs])
+    grid = np.linspace(*DELTA_RANGE, points)
+    weights = trapezoid_weights(grid)
+    firing = oracle_firing(e, de, footprint)
+    out_sets = oracle_memberships(grid, DELTA_RANGE, footprint)
     deltas = []
-    for table in tables:
-        y_left, y_right = km_centroid(
-            grid,
-            weights * aggregate(firing_lower, table, out_lower),
-            weights * aggregate(firing_upper, table, out_upper),
-        )
-        deltas.append(float(0.5 * (y_left + y_right)))
+    for table in audit_tables():
+        upper, *lower = (aggregate(f, table, o) for f, o in zip(firing, out_sets))
+        if footprint is None:
+            deltas.append(float((weights * upper) @ grid / (weights @ upper)))
+        else:
+            y_left, y_right = km_centroid(grid, weights * lower[0], weights * upper)
+            deltas.append(float(0.5 * (y_left + y_right)))
     return GainDeltas(*deltas)
 
 
 @pytest.mark.parametrize(
-    "engine",
+    "engine, footprint",
     [
-        Type1Engine(),
-        Type1Engine(error_partition=shouldered_partition()),
-        Type2Engine(),
-        Type2Engine(error_partition=shouldered_partition(), height_scale=0.8, lag=0.6),
+        (Type1Engine(), None),
+        (Type2Engine(), (1.0, 0.3)),
+        (Type2Engine(height_scale=0.8, lag=0.6), (0.8, 0.6)),
     ],
-    ids=["t1", "t1-shouldered", "it2", "it2-shouldered-wide-lag"],
+    ids=["t1", "it2", "it2-wide-lag"],
 )
-def test_engines_equal_the_per_table_reference_loop(engine):
+def test_engines_equal_the_per_table_reference_loop(engine, footprint):
     rng = np.random.default_rng(47)
     inputs = rng.uniform(-1.3, 1.3, (500, 2)).tolist()
     inputs += [[0.0, 0.0], [1.0, -1.0], [1 / 3, -2 / 3], [0.05, 0.3]]
     for e, de in inputs:
-        assert engine.infer(e, de) == reference_infer(engine, e, de), (e, de)
+        assert engine.infer(e, de) == reference_infer(e, de, footprint), (e, de)
 
 
 _ENGINES = (Type1Engine(), Type2Engine())
@@ -602,90 +620,48 @@ def test_engine_deltas_stay_inside_the_increment_universe(e, de):
 # ------------------------------------------------- covering-set aggregation
 
 
-def wide_partition(lo, hi):
-    """Uneven apexes under wide triangles: up to four sets overlap a point."""
-    shares = (0.0, 0.1, 0.25, 0.45, 0.6, 0.85, 1.0)
-    half = 0.3 * (hi - lo)
-    return FuzzyPartition(
-        lo, hi, tuple(TriMf(a - half, a, a + half) for a in (lo + s * (hi - lo) for s in shares))
-    )
-
-
-def full_label_aggregate(strengths, out_sets):
-    """Max over all seven labels of min(strength, output set): the oracle."""
+def full_label_aggregate(firing, out_sets):
+    """Max over all seven labels of min(strength, output set), indexed
+    [gain, row, grid]: the oracle of the covering-set aggregate."""
+    strengths = np.zeros((3, len(firing), len(LABELS)))
+    for gain, table in enumerate(audit_tables()):
+        for row, f in enumerate(firing):
+            np.maximum.at(strengths[gain, row], table.ravel(), f.ravel())
     return np.minimum(strengths[..., None], out_sets).max(axis=-2)
 
 
-def output_sets(engine):
-    if isinstance(engine, Type1Engine):
-        return np.array([mf(engine.grid) for mf in engine.delta_partition.mfs])
-    fou = engine.delta_fou.mfs
-    return np.array([[mf.upper(engine.grid) for mf in fou], [mf.lower(engine.grid) for mf in fou]])
-
-
-def label_strengths(engine, e, de):
-    """[gain, label] strengths of Type-1, [gain, upper/lower, label] of type-2."""
-    if isinstance(engine, Type1Engine):
-        mu_e, mu_de = engine.error_partition.fuzzify(e), engine.error_partition.fuzzify(de)
-        return engine._label_strengths(np.minimum(mu_e[:, None], mu_de[None, :])[None])[:, 0]
-    mu_e, mu_de = np.stack(engine.error_fou.fuzzify(e)), np.stack(engine.error_fou.fuzzify(de))
-    return engine._label_strengths(np.minimum(mu_e[:, :, None], mu_de[:, None, :]))
-
-
-def full_label_infer(engine, e, de):
-    """The engines' inference with the full seven-label aggregate."""
-    aggregates = full_label_aggregate(label_strengths(engine, e, de), output_sets(engine))
-    if isinstance(engine, Type1Engine):
-        return GainDeltas(
-            *(float((engine.weights * a) @ engine.grid / (engine.weights @ a)) for a in aggregates)
-        )
-    weighted = engine.weights * aggregates
-    y_left, y_right = km_centroid(engine.grid, weighted[:, 1], weighted[:, 0])
-    return GainDeltas(*(0.5 * (y_left + y_right)).tolist())
-
-
+GRID = np.linspace(*DELTA_RANGE, 1001)
 _AGGREGATION_ENGINES = {
-    "t1": Type1Engine(),
-    "t1-wide-output": Type1Engine(delta_partition=wide_partition(*DELTA_RANGE)),
-    "t1-shouldered": Type1Engine(
-        error_partition=shouldered_partition(), delta_partition=shouldered_partition()
-    ),
-    "it2": Type2Engine(),
-    "it2-fou-0.8-0.45": Type2Engine(height_scale=0.8, lag=0.45),
-    "it2-degenerate": Type2Engine(lag=0.0),
-    "it2-wide-lag": Type2Engine(height_scale=0.6, lag=0.7),
-    "it2-wide-output": Type2Engine(
-        delta_partition=wide_partition(*DELTA_RANGE), height_scale=0.9, lag=0.3
-    ),
-    "it2-shouldered": Type2Engine(
-        error_partition=shouldered_partition(),
-        delta_partition=shouldered_partition(),
-        height_scale=0.8,
-        lag=0.6,
-    ),
+    "t1": (Type1Engine(), None),
+    "it2": (Type2Engine(), (1.0, 0.3)),
+    "it2-fou-0.8-0.45": (Type2Engine(height_scale=0.8, lag=0.45), (0.8, 0.45)),
+    "it2-degenerate": (Type2Engine(lag=0.0), (1.0, 0.0)),
+    "it2-wide-lag": (Type2Engine(height_scale=0.6, lag=0.7), (0.6, 0.7)),
+}
+_OUTPUT_SETS = {
+    name: oracle_memberships(GRID, DELTA_RANGE, footprint)
+    for name, (_, footprint) in _AGGREGATION_ENGINES.items()
 }
 
 
 def test_covering_labels_are_read_from_the_output_sets():
-    slots = {name: engine._cover.shape[0] for name, engine in _AGGREGATION_ENGINES.items()}
-    assert slots["t1"] == slots["it2"] == slots["it2-wide-lag"] == 2
-    assert slots["t1-wide-output"] == slots["it2-wide-output"] == 4
-    for engine in _AGGREGATION_ENGINES.values():
-        sets = output_sets(engine).reshape(-1, len(LABELS), engine.resolution)
-        covered = np.zeros((len(LABELS), engine.resolution), dtype=bool)
-        covered[engine._cover, np.arange(engine.resolution)] = True
+    for name, (engine, _) in _AGGREGATION_ENGINES.items():
+        # Uniform triangles overlap two at a time.
+        assert engine._cover.shape == (2, GRID.size)
+        covered = np.zeros((len(LABELS), GRID.size), dtype=bool)
+        covered[engine._cover, np.arange(GRID.size)] = True
         # Every label nonzero at a point is among that point's slots.
-        assert not ((sets != 0.0).any(axis=0) & ~covered).any()
+        assert not ((_OUTPUT_SETS[name] != 0.0).any(axis=0) & ~covered).any()
 
 
-# Set apexes and clamp edges of the error partitions, their neighbours,
-# both signed zeros and inputs beyond the universe.
+# Set corners of the error universe, their neighbours, both signed zeros
+# and inputs beyond the universe.
 _EDGES = sorted(
     {0.0, 1.5, -1.5}
     | {
         x
-        for mf in FuzzyPartition.uniform(*ERROR_RANGE).mfs + shouldered_partition().mfs
-        for c in (mf.left, mf.apex, mf.right)
+        for mf in oracle_corners(ERROR_RANGE)[0]
+        for c in map(float, mf)
         for x in (c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf))
     }
 )
@@ -697,14 +673,14 @@ inputs = st.one_of(
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(e=inputs, de=inputs)
 def test_covering_set_aggregation_equals_all_labels_bit_for_bit(e, de):
-    for name, engine in _AGGREGATION_ENGINES.items():
-        strengths = label_strengths(engine, e, de)
-        aggregates = engine._aggregate(strengths)
+    for name, (engine, footprint) in _AGGREGATION_ENGINES.items():
+        firing = oracle_firing(e, de, footprint)
+        aggregates = engine._aggregate(firing)
         # A strided row can send weights @ row down another BLAS path.
         assert aggregates.flags.c_contiguous
-        expected = full_label_aggregate(strengths, output_sets(engine))
+        expected = full_label_aggregate(firing, _OUTPUT_SETS[name])
         assert aggregates.tobytes() == expected.tobytes(), (name, e, de)
-        got, want = engine.infer(e, de), full_label_infer(engine, e, de)
+        got, want = engine.infer(e, de), reference_infer(e, de, footprint)
         assert np.array(got).tobytes() == np.array(want).tobytes(), (name, e, de)
 
 
