@@ -60,7 +60,6 @@ from omnitrack.nmpc import (
     OcpConfig,
     OcpProblem,
     OcpSolution,
-    predict,
     reference_window,
     solve,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "OcpConfig",
     "OcpProblem",
     "OcpSolution",
-    "predict",
     "reference_window",
     "solve",
     "Episode",

@@ -9,7 +9,8 @@ Subcommands::
                       [--seed N]
 
 Every run copies its config file into the output directory, and a rerun
-with the same config and seed reproduces the CSV outputs bit for bit.
+with the same config and seed in one environment reproduces the CSV
+outputs bit for bit.
 Nothing is written before the config is validated and the plan and the
 episodes have run, so a failing command leaves no output behind.
 Exit codes: 0 success, 1 configuration or I/O error, 2 no path between
@@ -19,9 +20,10 @@ Config files are INI-style.  ``[experiment]`` holds the scenario (map,
 start, goal, total_time, ts, seed, noise, controllers, out, np_values);
 one section per controller id (``[fpid-t1]``, ``[fpid-it2]``, ``[nmpc]``)
 carries that controller's tuning knobs and may be empty to accept the
-defaults.  The section name alone picks the controller and its fuzzy
-engine; the sample time is ``[experiment] ts``, never a controller key.
-``map = standard`` selects the bundled map.
+defaults.  Every section is read into a dataclass, each key parsed by
+its field's declared type.  The section name alone picks the controller
+and its fuzzy engine; the sample time is ``[experiment] ts``, never a
+controller key.  ``map = standard`` selects the bundled map.
 """
 
 from __future__ import annotations
@@ -66,8 +68,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_PATH = 2
 
-DEFAULT_NP_VALUES = (1, 5, 10, 15, 20)
-
 
 class CliError(Exception):
     """Configuration or usage problem; maps to exit code 1."""
@@ -80,20 +80,42 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """One experiment as described by a config file."""
+    """One experiment: each ``[experiment]`` key with its type and default.
 
-    map_spec: str
-    start: tuple[int, int]
-    goal: tuple[int, int]
-    total_time: float
-    ts: float
-    seed: int
-    noise: bool
-    controllers: list[str]
-    out: str | None
-    np_values: list[int]
-    controller_configs: dict[str, object]
-    source: Path
+    ``load_config`` fills the two fields that are not keys: the
+    controller configs of the file's sections and the file itself.
+    """
+
+    map: str = "standard"
+    start: tuple[int, int] = (0, 0)
+    goal: tuple[int, int] = (19, 19)
+    total_time: float = 30.0
+    ts: float = 0.1
+    seed: int = 0
+    noise: bool = False
+    controllers: tuple[str, ...] = ()
+    out: str = ""
+    np_values: tuple[int, ...] = (1, 5, 10, 15, 20)
+    controller_configs: dict[str, object] = dataclasses.field(
+        default_factory=dict, init=False
+    )
+    source: Path | None = dataclasses.field(default=None, init=False)
+
+    def __post_init__(self):
+        for name in ("start", "goal"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must be 'col,row'")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if not 0.0 < self.ts < self.total_time < math.inf:
+            raise ValueError("requires finite total_time > ts > 0")
+        if not self.np_values:
+            raise ValueError("np_values must not be empty")
+        for cid in self.controllers:
+            if cid not in CONTROLLER_IDS:
+                raise ValueError(
+                    f"unknown controller '{cid}' (known: {', '.join(CONTROLLER_IDS)})"
+                )
 
 
 def standard_map_path() -> Path:
@@ -101,52 +123,40 @@ def standard_map_path() -> Path:
     return Path(str(resources.files("omnitrack").joinpath("data", "standard.map")))
 
 
-def _parse_cell(text: str, key: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise CliError(f"{key} must be 'col,row', got '{text}'")
+def _boolean(raw: str) -> bool:
     try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as err:
-        raise CliError(f"{key} must hold integers: {err}") from None
-
-
-def _parse_int_list(text: str, key: str) -> list[int]:
-    try:
-        values = [int(p) for p in text.replace(",", " ").split()]
-    except ValueError as err:
-        raise CliError(f"{key} must hold integers: {err}") from None
-    if not values:
-        raise CliError(f"{key} must not be empty")
-    return values
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw}") from None
 
 
 # How an INI value becomes a config field, by the field's declared type.
-_INI_PARSERS = {int: int, float: float, str: str.strip}
+_INI_PARSERS = {int: int, float: float, str: str.strip, bool: _boolean}
 
 
 def _coerce_field(cls, name: str, raw: str):
     kind = typing.get_type_hints(cls)[name]
     if typing.get_origin(kind) is tuple:
-        return tuple(float(p) for p in raw.replace(",", " ").split())
+        parse = _INI_PARSERS[typing.get_args(kind)[0]]
+        return tuple(parse(p) for p in raw.replace(",", " ").split())
     return _INI_PARSERS[kind](raw)
 
 
-def _controller_config(controller: str, section):
-    """Build the controller's config dataclass from its INI section."""
-    cls, kwargs = CONTROLLER_IDS[controller], {}
-    known = {f.name for f in dataclasses.fields(cls)}
+def _section_config(cls, name: str, section):
+    """Build the dataclass cls from INI section [name], key by key."""
+    kwargs = {}
+    known = {f.name for f in dataclasses.fields(cls) if f.init}
     for key in section:
         if key not in known:
-            raise CliError(f"unknown key '{key}' in [{controller}]")
+            raise CliError(f"unknown key '{key}' in [{name}]")
         try:
             kwargs[key] = _coerce_field(cls, key, section[key])
         except ValueError as err:
-            raise CliError(f"bad value for '{key}' in [{controller}]: {err}") from None
+            raise CliError(f"bad value for '{key}' in [{name}]: {err}") from None
     try:
         return cls(**kwargs)
     except ValueError as err:
-        raise CliError(f"invalid [{controller}] section: {err}") from None
+        raise CliError(f"invalid [{name}] section: {err}") from None
 
 
 def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
@@ -162,74 +172,23 @@ def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
         raise CliError(f"cannot parse config file: {err}") from None
     if not parser.has_section("experiment"):
         raise CliError("config is missing the [experiment] section")
-    exp = parser["experiment"]
-
-    known_keys = {
-        "map", "start", "goal", "total_time", "ts", "seed", "noise",
-        "controllers", "out", "np_values",
-    }
-    for key in exp:
-        if key not in known_keys:
-            raise CliError(f"unknown key '{key}' in [experiment]")
-
-    try:
-        total_time = exp.getfloat("total_time", 30.0)
-        ts = exp.getfloat("ts", 0.1)
-        seed = exp.getint("seed", 0)
-        noise = exp.getboolean("noise", False)
-    except ValueError as err:
-        raise CliError(f"bad value in [experiment]: {err}") from None
-    if seed < 0:
-        raise CliError("[experiment] seed must be a non-negative integer")
-    if not 0.0 < ts < total_time < math.inf:
-        raise CliError("[experiment] requires finite total_time > ts > 0")
-
-    controllers = [
-        c.strip() for c in exp.get("controllers", "").split(",") if c.strip()
-    ]
-    if need_controllers and not controllers:
+    config = _section_config(ExperimentConfig, "experiment", parser["experiment"])
+    config.source = source
+    if need_controllers and not config.controllers:
         raise CliError("[experiment] must list at least one controller")
-    for cid in controllers:
-        if cid not in CONTROLLER_IDS:
-            raise CliError(
-                f"unknown controller '{cid}' (known: {', '.join(CONTROLLER_IDS)})"
-            )
-        if not parser.has_section(cid):
-            raise CliError(f"controller '{cid}' has no [{cid}] section")
-
-    configs = {
-        cid: _controller_config(cid, parser[cid]) for cid in controllers
-    }
     # The horizon sweep reads [nmpc] even when the controller list is empty.
-    if parser.has_section("nmpc") and "nmpc" not in configs:
-        configs["nmpc"] = _controller_config("nmpc", parser["nmpc"])
-
-    np_values = _parse_int_list(exp.get("np_values", ""), "np_values") if exp.get(
-        "np_values", ""
-    ) else list(DEFAULT_NP_VALUES)
-
-    return ExperimentConfig(
-        map_spec=exp.get("map", "standard"),
-        start=_parse_cell(exp.get("start", "0,0"), "start"),
-        goal=_parse_cell(exp.get("goal", "19,19"), "goal"),
-        total_time=total_time,
-        ts=ts,
-        seed=seed,
-        noise=noise,
-        controllers=controllers,
-        out=exp.get("out", None),
-        np_values=np_values,
-        controller_configs=configs,
-        source=source,
-    )
+    for cid in dict.fromkeys((*config.controllers, "nmpc")):
+        if parser.has_section(cid):
+            config.controller_configs[cid] = _section_config(
+                CONTROLLER_IDS[cid], cid, parser[cid]
+            )
+        elif cid in config.controllers:
+            raise CliError(f"controller '{cid}' has no [{cid}] section")
+    return config
 
 
 def _load_map(config: ExperimentConfig):
-    path = (
-        standard_map_path()
-        if config.map_spec == "standard"
-        else Path(config.map_spec)
-    )
+    path = standard_map_path() if config.map == "standard" else Path(config.map)
     try:
         return load_grid(path)
     except OSError as err:
@@ -247,11 +206,17 @@ def _prepare_outdir(args, config: ExperimentConfig, command: str) -> Path:
     return out
 
 
-def _override_seed(config: ExperimentConfig, seed: int | None) -> None:
-    if seed is not None:
-        if seed < 0:
-            raise CliError("--seed must be a non-negative integer")
-        config.seed = seed
+def _override(config: ExperimentConfig, name: str, raw: str | None) -> None:
+    """Set an [experiment] value from its command-line flag, read as in a file."""
+    if raw is None:
+        return
+    try:
+        value = _coerce_field(ExperimentConfig, name, raw)
+        dataclasses.replace(config, **{name: value})  # the file's checks
+    except ValueError as err:
+        flag = "--" + name.replace("_", "-")
+        raise CliError(f"bad value for {flag}: {err}") from None
+    setattr(config, name, value)
 
 
 def _plan(exp: ExperimentConfig):
@@ -284,7 +249,7 @@ def cmd_plan(args) -> int:
 
 def cmd_track(args) -> int:
     config = load_config(args.config, need_controllers=True)
-    _override_seed(config, args.seed)
+    _override(config, "seed", args.seed)
     grid, (path, curve, trajectory) = _plan(config)
 
     episodes = [
@@ -310,7 +275,7 @@ def cmd_track(args) -> int:
         rows.append(
             {
                 "controller": episode.controller,
-                "scenario": config.map_spec,
+                "scenario": config.map,
                 "tracking_time": trajectory.duration,
                 "me_xy": metrics.me_xy,
                 "mae_theta": metrics.mae_theta,
@@ -401,15 +366,11 @@ def cmd_step(args) -> int:
 
 def cmd_horizon(args) -> int:
     config = load_config(args.config, need_controllers=False)
-    _override_seed(config, args.seed)
-    np_values = (
-        _parse_int_list(args.np_values, "--np-values")
-        if args.np_values
-        else config.np_values
-    )
+    _override(config, "seed", args.seed)
+    _override(config, "np_values", args.np_values)
     base = config.controller_configs.get("nmpc") or OcpConfig()
     try:  # OcpConfig checks each horizon before anything is planned
-        for h in np_values:
+        for h in config.np_values:
             dataclasses.replace(base, horizon=h)
     except ValueError as err:
         raise CliError(f"invalid horizon value: {err}") from None
@@ -421,7 +382,7 @@ def cmd_horizon(args) -> int:
         noise=NoiseModel() if config.noise else None,
         seed=config.seed,
     )
-    rows = horizon_sweep(template, np_values)
+    rows = horizon_sweep(template, config.np_values)
 
     out = _prepare_outdir(args, config, "horizon")
     for horizon, metrics in rows:
@@ -432,7 +393,7 @@ def cmd_horizon(args) -> int:
     write_horizon_csv(rows, out / "horizon.csv")
     svgplot.bar_chart(
         out / "horizon.svg",
-        [str(h) for h in np_values],
+        [str(h) for h in config.np_values],
         [
             ("me_xy [m]", [m.me_xy for _, m in rows]),
             ("mae_theta [rad]", [m.mae_theta for _, m in rows]),
@@ -453,7 +414,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides the config)")
         if seeded:  # step responses and plans are noise-free
-            p.add_argument("--seed", type=int, help="episode seed (overrides the config)")
+            p.add_argument("--seed", help="episode seed (overrides the config)")
 
     common(sub.add_parser("plan", help="plan a reference trajectory"))
     sub.choices["plan"].set_defaults(func=cmd_plan)

@@ -141,13 +141,10 @@ class FpidConfig:
     threshold: float = DISTANCE_THRESHOLD
     v_max: float = 1.5
     omega_max: float = 3.14
-    frame: str = "body"
     fou_height_scale: float = 1.0
     fou_lag: float = 0.3
 
     def __post_init__(self):
-        if self.frame not in ("body", "global"):
-            raise ValueError("frame must be 'body' or 'global'")
         if not self.v_max > 0.0 or not self.omega_max > 0.0:
             raise ValueError("velocity bounds must be positive")
         for name in ("dist_norm", "head_norm", "de_scale"):
@@ -193,9 +190,9 @@ class FuzzyPidController:
     def command(self, robot: RobotPose, target: RobotPose, dt: float) -> BodyVelocity:
         """Velocity command driving the robot toward the target pose.
 
-        The speed rides the bearing to the target; in the default body
-        frame the bearing is relative to the robot heading and is rotated
-        into the global frame here, since the plant integrates globally.
+        The speed rides the bearing to the target.  The bearing error is
+        measured from the robot heading; adding the heading back gives the
+        global course the plant integrates.
         """
         cfg = self.config
         err = compute_errors(robot, target, cfg.threshold)
@@ -209,5 +206,5 @@ class FuzzyPidController:
             v = 0.0
         v = min(max(v, 0.0), cfg.v_max)
         omega = min(max(omega, -cfg.omega_max), cfg.omega_max)
-        bearing = err.d_alpha + robot.theta if cfg.frame == "body" else err.d_alpha
+        bearing = err.d_alpha + robot.theta
         return BodyVelocity(v * math.cos(bearing), v * math.sin(bearing), omega)

@@ -46,9 +46,14 @@ class OcpConfig:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if int(self.horizon) < 1:
-            raise ValueError("horizon must be at least 1")
-        self.horizon = int(self.horizon)
+        for name in ("horizon", "max_iterations"):
+            value = getattr(self, name)
+            # A bool, a fraction or a non-finite count is not a count.
+            if isinstance(value, (bool, np.bool_)) or not (
+                math.isfinite(value) and value == int(value) and value >= 1
+            ):
+                raise ValueError(f"{name} must be an integer of at least 1")
+            setattr(self, name, int(value))
         self.q_diag = tuple(float(v) for v in self.q_diag)
         self.r_diag = tuple(float(v) for v in self.r_diag)
         if len(self.q_diag) != 3 or len(self.r_diag) != 2:
@@ -62,9 +67,6 @@ class OcpConfig:
             raise ValueError("input bounds must be positive")
         if not 0.0 < self.kkt_tolerance < math.inf:
             raise ValueError("kkt_tolerance must be positive and finite")
-        if int(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be at least 1")
-        self.max_iterations = int(self.max_iterations)
 
     def constants(self, ts: float) -> "_Constants":
         """The arrays this configuration fixes at sample time ts, shared."""
@@ -151,16 +153,6 @@ class OcpSolution:
     def states(self) -> np.ndarray:
         n = self.horizon
         return self.w[2 * n :].reshape(n + 1, 3)
-
-
-def predict(pose: RobotPose, u, ts: float) -> RobotPose:
-    """One explicit Euler step of the unicycle model."""
-    v, omega = float(u[0]), float(u[1])
-    return RobotPose(
-        pose.x + ts * v * math.cos(pose.theta),
-        pose.y + ts * v * math.sin(pose.theta),
-        wrap_angle(pose.theta + ts * omega),
-    )
 
 
 def rollout(x0: np.ndarray, inputs: np.ndarray, ts: float) -> np.ndarray:

@@ -50,12 +50,11 @@ class OccupancyGrid:
     """Binary occupancy grid; cells[row, col] == 1 marks an obstacle.
 
     Row index equals the y cell index, so cell (col, row) has world
-    coordinates origin + (col, row) * resolution at its centre.
+    coordinates (col, row) * resolution at its centre.
     """
 
     cells: np.ndarray
     resolution: float = 1.0
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         arr = np.asarray(self.cells)
@@ -66,7 +65,6 @@ class OccupancyGrid:
         if not 0.0 < self.resolution < math.inf:
             raise ValueError("resolution must be positive and finite")
         self.cells = arr.astype(np.uint8)
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
 
     @property
     def width(self) -> int:
@@ -86,10 +84,7 @@ class OccupancyGrid:
 
     def cell_to_world(self, cell: tuple[int, int]) -> tuple[float, float]:
         col, row = cell
-        return (
-            self.origin[0] + col * self.resolution,
-            self.origin[1] + row * self.resolution,
-        )
+        return col * self.resolution, row * self.resolution
 
 
 def load_grid(path) -> OccupancyGrid:
@@ -223,15 +218,13 @@ def _derivative_control_points(
     """Control points of the order-th derivative curve (Piegl & Tiller A3.3).
 
     The result is a spline of degree ``degree - order`` on
-    ``knots[order:len(knots) - order]``.  A zero knot difference (a knot
-    repeated more often than the reduced degree allows) scales its
-    difference to zero, since the matching basis function vanishes.
+    ``knots[order:len(knots) - order]``.  The clamped knots repeat only
+    the two ends, so no knot difference used here is zero.
     """
     for k in range(1, order + 1):
         p = degree - k + 1
         n = points.shape[0]
         den = knots[k + p : k + p + n - 1] - knots[k : k + n - 1]
-        den = np.where(den > 0.0, den, np.inf)
         points = p * np.diff(points, axis=0) / den[:, None]
     return points
 
@@ -271,34 +264,21 @@ class SmoothPath:
     """
 
     control_points: np.ndarray
-    degree: int = SPLINE_DEGREE
-    knots: np.ndarray = field(default=None)
+    degree: int = field(default=SPLINE_DEGREE, init=False)
+    knots: np.ndarray = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.control_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("control points must be an (n, 2) array")
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
         if pts.shape[0] < self.degree + 1:
             raise ValueError("need at least degree + 1 control points")
         self.control_points = pts
-        if self.knots is None:
-            self.knots = _clamped_knots(pts.shape[0], self.degree)
-        else:
-            self.knots = np.asarray(self.knots, dtype=float)
-            expected = pts.shape[0] + self.degree + 1
-            if self.knots.shape != (expected,):
-                raise ValueError("knot vector has wrong length")
-            if np.any(np.diff(self.knots) < 0.0):
-                raise ValueError("knots must be non-decreasing")
+        self.knots = _clamped_knots(pts.shape[0], self.degree)
         p, n = self.degree, pts.shape[0]
-        # Breakpoints of the domain [knots[p], knots[n]]; knot span j is
-        # [breaks[j], breaks[j + 1]].
-        domain = self.knots[p : n + 1]
-        self._breaks = domain[np.concatenate([[True], np.diff(domain) > 0.0])]
-        if self._breaks.size < 2:
-            raise ValueError("knot vector spans an empty domain")
+        # Breakpoints of the domain [knots[p], knots[n]], all distinct;
+        # knot span j is [breaks[j], breaks[j + 1]].
+        self._breaks = self.knots[p : n + 1]
         left = self._breaks[:-1]
         # Index of the last knot equal to each span's left end.
         span = np.searchsorted(self.knots, left, side="right") - 1

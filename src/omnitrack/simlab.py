@@ -10,7 +10,7 @@ pose fed to the controller; metrics are computed on the true pose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,25 +43,25 @@ RUN_HEADER_SOLVER = RUN_HEADER_BASE + ["cost", "iters", "kkt"]
 STEP_DURATION = 10.0
 STEP_AXES = ("x", "y", "theta")
 
+# The noise draw's divisor and the time scale of its sine envelope.
+NOISE_DIVISOR = 6.0
+NOISE_TIME_SCALE = 5.0
+
+# The one chassis every episode drives.
+_GEOMETRY = OmniGeometry()
+
 
 @dataclass
 class NoiseModel:
     """Feedback-path noise: uniform draw scaled by a slow sine envelope.
 
     Each pose channel gets an independent draw from [0, 1) divided by
-    ``divisor`` and multiplied by sin(n * ts / time_scale).
+    ``NOISE_DIVISOR`` and multiplied by sin(n * ts / NOISE_TIME_SCALE).
     """
 
-    divisor: float = 6.0
-    time_scale: float = 5.0
-
-    def __post_init__(self):
-        if not self.divisor > 0.0 or not self.time_scale > 0.0:
-            raise ValueError("divisor and time_scale must be positive")
-
     def sample(self, n: int, ts: float, rng: np.random.Generator) -> np.ndarray:
-        draw = rng.random(3) / self.divisor
-        return draw * math.sin(n * ts / self.time_scale)
+        draw = rng.random(3) / NOISE_DIVISOR
+        return draw * math.sin(n * ts / NOISE_TIME_SCALE)
 
 
 @dataclass
@@ -91,7 +91,6 @@ class Episode:
     trajectory: ReferenceTrajectory
     controller: str
     controller_config: object = None
-    geometry: OmniGeometry = field(default_factory=OmniGeometry)
     noise: NoiseModel | None = None
     seed: int = 0
     initial_pose: RobotPose | None = None
@@ -149,8 +148,8 @@ def run_episode(episode: Episode) -> Episode:
             cmd = ctrl.command(meas, traj, n)
             sol = ctrl.last_solution
             solver[n] = (sol.cost, sol.iterations, sol.kkt_residual)
-        spin = inverse_kinematics(episode.geometry, cmd)
-        actual = forward_kinematics(episode.geometry, spin)
+        spin = inverse_kinematics(_GEOMETRY, cmd)
+        actual = forward_kinematics(_GEOMETRY, spin)
 
         true_pose[n] = pose.as_array()
         measured[n] = meas.as_array()
@@ -262,8 +261,10 @@ def run_step_response(
 
     Targets are (1, 0, 0), (0, 1, 0) and (0, 0, 1 rad); the response is
     the matching true-pose component.  Returns per-axis metrics with the
-    finished episode for plotting.
+    finished episode for plotting.  ts must lie in (0, STEP_DURATION].
     """
+    if not 0.0 < ts <= STEP_DURATION:
+        raise ValueError(f"ts must lie in (0, {STEP_DURATION}] for a step response")
     targets = {
         "x": RobotPose(1.0, 0.0, 0.0),
         "y": RobotPose(0.0, 1.0, 0.0),

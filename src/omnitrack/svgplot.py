@@ -219,9 +219,8 @@ def grid_overlay(path, grid, paths, title=""):
     paths: list of (label, points) with points as (n, 2) world arrays.
     """
     res = grid.resolution
-    x0, y0 = grid.origin
-    xlim = (x0 - res, x0 + grid.width * res)
-    ylim = (y0 - res, y0 + grid.height * res)
+    xlim = (-res, grid.width * res)
+    ylim = (-res, grid.height * res)
     frame = _Frame(xlim, ylim, equal_aspect=True)
     canvas = _Canvas(title)
     canvas.add(frame.axes_svg("x [m]", "y [m]"))

@@ -14,6 +14,7 @@ from omnitrack.cli import (
     EXIT_ERROR,
     EXIT_NO_PATH,
     EXIT_OK,
+    ExperimentConfig,
     load_config,
     main,
     standard_map_path,
@@ -22,7 +23,8 @@ from omnitrack.simlab import CONTROLLER_IDS, EpisodeLog, tracking_metrics
 
 from test_simlab import read_csv_floats
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 FREE_MAP = "8 8 0.5\n" + "\n".join(["0" * 8] * 8) + "\n"
 WALLED_MAP = "8 8 0.5\n" + "\n".join(
     ["0" * 8] * 4 + ["1" * 8] + ["0" * 8] * 3
@@ -296,6 +298,14 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
     flat_fou = write_config(
         tmp_path, name="fl.ini", sections={"fpid-it2": {"fou_lag": "0.9999999999999998"}}
     )
+    # An empty horizon list is an error, not the default list.
+    no_np = write_config(tmp_path, name="np.ini", experiment={"np_values": ""})
+    # A step response lasts STEP_DURATION (10 s); a longer sample time
+    # leaves it fewer than two samples.
+    slow_step = write_config(
+        tmp_path, name="st.ini", experiment={"ts": "12", "total_time": "30"}
+    )
+    not_bool = write_config(tmp_path, name="b.ini", experiment={"noise": "maybe"})
     good = write_config(tmp_path)
     out = tmp_path / "never"
     for argv, culprit in (
@@ -305,6 +315,11 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         (["track", "--config", str(nmpc_ts)], "'ts' in [nmpc]"),
         (["track", "--config", str(it2_engine)], "'engine' in [fpid-it2]"),
         (["track", "--config", str(flat_fou)], "fou_lag"),
+        (["horizon", "--config", str(no_np)], "np_values"),
+        (["horizon", "--config", str(good), "--np-values", ""], "np_values"),
+        (["horizon", "--config", str(good), "--np-values", "2,x"], "--np-values"),
+        (["step", "--config", str(slow_step)], "ts must"),
+        (["plan", "--config", str(not_bool)], "'noise'"),
         (["track", "--config", str(good), "--seed", "-1"], "seed"),
         (["horizon", "--config", str(good), "--seed", "-1"], "seed"),
     ):
@@ -328,20 +343,38 @@ def ini_value(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
-@pytest.mark.parametrize("cid", sorted(CONTROLLER_IDS))
-def test_every_default_round_trips_through_ini(tmp_path, cid):
-    # Each field is parsed by its declared type, so a default written out
-    # loads back equal and of the same type (an int never becomes a float).
-    default = CONTROLLER_IDS[cid]()
-    body = {f.name: ini_value(getattr(default, f.name)) for f in dataclasses.fields(default)}
-    path = write_config(tmp_path, experiment={"controllers": cid}, sections={cid: body})
-    loaded = load_config(path, need_controllers=True).controller_configs[cid]
-    assert loaded == default
-    for f in dataclasses.fields(default):
+@pytest.mark.parametrize("section", sorted(CONTROLLER_IDS) + ["experiment"])
+def test_every_default_round_trips_through_ini(tmp_path, section):
+    # Each key is parsed by its field's declared type, so a default written
+    # out loads back equal and of the same type (an int never becomes a
+    # float, nor a bool a string).
+    default = CONTROLLER_IDS.get(section, ExperimentConfig)()
+    keys = [f for f in dataclasses.fields(default) if f.init]
+    body = {f.name: ini_value(getattr(default, f.name)) for f in keys}
+    if section == "experiment":
+        path = write_config(tmp_path, experiment=body)
+        loaded = load_config(path, need_controllers=False)
+    else:
+        path = write_config(tmp_path, experiment={"controllers": section}, sections={section: body})
+        loaded = load_config(path, need_controllers=True).controller_configs[section]
+    for f in keys:
         value, want = getattr(loaded, f.name), getattr(default, f.name)
+        assert value == want, f.name
         assert type(value) is type(want), f.name
         if isinstance(want, tuple):
             assert [type(v) for v in value] == [type(v) for v in want], f.name
+
+
+def test_the_readme_config_example_loads(tmp_path):
+    # The README's INI example advertises only keys the lab reads.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```ini\n")[1:]
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0].split("```")[0], encoding="ascii")
+    config = load_config(path, need_controllers=True)
+    assert config.controllers == ("fpid-t1", "fpid-it2", "nmpc")
+    assert sorted(config.controller_configs) == sorted(CONTROLLER_IDS)
 
 
 def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
@@ -397,7 +430,6 @@ FUZZ_POOL = {
         "de_scale": ["10"],
         "v_max": ["1.5"],
         "threshold": ["0.05"],
-        "frame": ["body", "global"],
     },
     "fpid-it2": {"fou_lag": ["0.3", "0.7"], "head_norm": ["3.14"]},
     "nmpc": {

@@ -162,32 +162,10 @@ def test_command_stops_inside_deadband():
 def test_body_frame_accounts_for_heading():
     # Robot heading +pi/2, target straight ahead of the BODY x-axis: the
     # command must point along +y in the global frame.
-    ctrl = FuzzyPidController(FpidConfig(frame="body"))
+    ctrl = FuzzyPidController(FpidConfig())
     cmd = ctrl.command(RobotPose(0.0, 0.0, math.pi / 2), RobotPose(0.0, 2.0, math.pi / 2), 0.1)
     assert cmd.vy > 0.1
     assert cmd.vx == pytest.approx(0.0, abs=1e-9)
-
-
-def test_global_frame_uses_raw_bearing_error():
-    # The alternative command law applies the heading-relative bearing
-    # error directly as a global direction: heading +pi/2, target on the
-    # global +x axis gives a bearing error of -pi/2, so the commanded
-    # velocity points along global -y.
-    ctrl = FuzzyPidController(FpidConfig(frame="global"))
-    cmd = ctrl.command(RobotPose(0.0, 0.0, math.pi / 2), RobotPose(2.0, 0.0, 0.0), 0.1)
-    assert cmd.vy < -0.1
-    assert cmd.vx == pytest.approx(0.0, abs=1e-9)
-
-
-def test_frame_modes_agree_at_zero_heading():
-    body = FuzzyPidController(FpidConfig(frame="body"))
-    globl = FuzzyPidController(FpidConfig(frame="global"))
-    robot = RobotPose(0.0, 0.0, 0.0)
-    target = RobotPose(1.0, 2.0, 0.5)
-    a = body.command(robot, target, 0.1)
-    b = globl.command(robot, target, 0.1)
-    assert a.vx == pytest.approx(b.vx, abs=1e-12)
-    assert a.vy == pytest.approx(b.vy, abs=1e-12)
 
 
 def test_zero_engine_reduces_to_fixed_pid():
@@ -228,8 +206,6 @@ def test_engine_choice_from_config():
     outputs = [it2.infer(e, de) for e, de in probes]
     assert outputs == [Type2Engine(height_scale=0.8, lag=0.45).infer(e, de) for e, de in probes]
     assert outputs != [Type2Engine().infer(e, de) for e, de in probes]
-    with pytest.raises(ValueError):
-        FpidConfig(frame="martian")
     # A zero or infinite scale divides the error into 0/0 or nothing, and
     # a NaN threshold turns every range comparison false.  Gains outside
     # [0, k_max] and footprints the type-2 engine rejects fail here, not

@@ -12,7 +12,6 @@ from omnitrack.nmpc import (
     OcpConfig,
     OcpProblem,
     defects,
-    predict,
     reference_window,
     rollout,
     solve,
@@ -23,6 +22,16 @@ from omnitrack.planning import ReferenceTrajectory
 
 
 # ---------------------------------------------------- reference helpers
+
+
+def predict(pose, u, ts):
+    """One explicit Euler step of the unicycle model, the rollout's oracle."""
+    v, omega = float(u[0]), float(u[1])
+    return RobotPose(
+        pose.x + ts * v * math.cos(pose.theta),
+        pose.y + ts * v * math.sin(pose.theta),
+        wrap_angle(pose.theta + ts * omega),
+    )
 
 
 def ocp_cost(problem, config, w):
@@ -407,6 +416,15 @@ def test_dimension_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         OcpConfig(horizon=0)
+    # A count is an integer: a fraction, a bool or a non-finite value is
+    # rejected, naming the field, rather than truncated.
+    for name in ("horizon", "max_iterations"):
+        for bad in (2.7, 3.9, True, False, math.nan, math.inf, 0, np.int64(0)):
+            with pytest.raises(ValueError, match=name):
+                OcpConfig(**{name: bad})
+        for good in (5, 5.0, np.int64(5), np.int32(5)):
+            value = getattr(OcpConfig(**{name: good}), name)
+            assert value == 5 and type(value) is int
     # The sample time comes with the problem's reference windows.
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):

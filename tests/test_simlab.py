@@ -51,7 +51,7 @@ def test_noise_is_zero_at_the_first_step():
 
 
 def test_noise_matches_the_documented_form():
-    model = NoiseModel(divisor=6.0, time_scale=5.0)
+    model = NoiseModel()
     got = model.sample(37, 0.1, np.random.default_rng(123))
     expected = np.random.default_rng(123).random(3) / 6.0 * math.sin(37 * 0.1 / 5.0)
     assert np.array_equal(got, expected)
@@ -65,13 +65,6 @@ def test_noise_amplitude_statistics():
     envelope = math.sin(n * ts / 5.0)
     assert np.all(np.abs(draws) <= envelope / 6.0)
     assert abs(np.mean(draws) / envelope - 1.0 / 12.0) < 0.003
-
-
-def test_noise_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(divisor=0.0)
-    with pytest.raises(ValueError):
-        NoiseModel(time_scale=-1.0)
 
 
 # ------------------------------------------------------------- episodes
