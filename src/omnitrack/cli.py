@@ -20,10 +20,12 @@ Config files are INI-style.  ``[experiment]`` holds the scenario (map,
 start, goal, total_time, ts, seed, noise, controllers, out, np_values);
 one section per controller id (``[fpid-t1]``, ``[fpid-it2]``, ``[nmpc]``)
 carries that controller's tuning knobs and may be empty to accept the
-defaults.  Every section is read into a dataclass, each key parsed by
-its field's declared type.  The section name alone picks the controller
-and its fuzzy engine; the sample time is ``[experiment] ts``, never a
-controller key.  ``map = standard`` selects the bundled map.
+defaults.  Any other section, ``[DEFAULT]`` included, is an error.
+Every section is read into a dataclass, each key parsed by its field's
+declared type; values are literal, with no ``%`` interpolation.  The
+section name alone picks the controller and its fuzzy engine; the
+sample time is ``[experiment] ts``, never a controller key.
+``map = standard`` selects the bundled map.
 """
 
 from __future__ import annotations
@@ -162,7 +164,12 @@ def _section_config(cls, name: str, section):
 def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
     source = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # Values are read literally, '%' included.  The default section gets a
+    # name no section header can hold, so [DEFAULT] is an ordinary section
+    # (and an unknown one) rather than keys inherited by every section.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section="\n"
+    )
     try:
         with open(source, "r", encoding="ascii") as fh:
             parser.read_file(fh)
@@ -170,6 +177,12 @@ def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
         raise CliError(f"cannot read config file: {err}") from None
     except (configparser.Error, UnicodeDecodeError) as err:
         raise CliError(f"cannot parse config file: {err}") from None
+    known = ("experiment", *CONTROLLER_IDS)
+    for name in parser.sections():
+        if name not in known:
+            raise CliError(
+                f"unknown section [{name}] (known: {', '.join(f'[{k}]' for k in known)})"
+            )
     if not parser.has_section("experiment"):
         raise CliError("config is missing the [experiment] section")
     config = _section_config(ExperimentConfig, "experiment", parser["experiment"])

@@ -8,7 +8,6 @@ that the tracking controllers consume.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -133,10 +132,6 @@ class GridPath:
         return np.array([grid.cell_to_world(c) for c in self.cells], dtype=float)
 
 
-def _manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
 def astar(
     grid: OccupancyGrid,
     start: tuple[int, int],
@@ -160,46 +155,48 @@ def astar(
         if not grid.is_free(cell):
             raise InvalidCellError(f"{name} cell {cell} is occupied")
 
-    # Python-list lookup: per-neighbour numpy scalar indexing dominates
-    # the search otherwise.
-    free = (grid.cells == 0).tolist()
-    width, height = grid.width, grid.height
+    # Cells are flat row-major indices into the grid padded by one blocked
+    # cell on every side, so a neighbour is an index offset and needs no
+    # bounds check.  A blocked cell starts out closed.
+    stride = grid.width + 2
+    closed = bytearray(np.pad(grid.cells, 1, constant_values=1).tobytes())
+    steps = [dc + dr * stride for dc, dr in NEIGHBOR_STEPS]
+    g_score = [math.inf] * len(closed)
+    parent = [0] * len(closed)
+    goal_row, goal_col = goal[1] + 1, goal[0] + 1
+    source = start[0] + 1 + (start[1] + 1) * stride
+    target = goal_col + goal_row * stride
+    g_score[source] = 0
     counter = 0
-    g_score = {start: 0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    closed: set[tuple[int, int]] = set()
-    h0 = _manhattan(start, goal)
-    heap = [(h0, h0, counter, start)]
+    h0 = abs(start[0] - goal[0]) + abs(start[1] - goal[1])
+    heap = [(h0, h0, counter, source)]
+    heappop, heappush = heapq.heappop, heapq.heappush
     expansions = 0
 
     while heap:
-        _, _, _, cell = heapq.heappop(heap)
-        if cell in closed:
+        cell = heappop(heap)[3]
+        if closed[cell]:
             continue
-        closed.add(cell)
+        closed[cell] = 1
         expansions += 1
-        if cell == goal:
+        if cell == target:
             cells = [cell]
-            while cell != start:
+            while cell != source:
                 cell = parent[cell]
                 cells.append(cell)
             cells.reverse()
-            path = GridPath(cells)
+            path = GridPath([(i % stride - 1, i // stride - 1) for i in cells])
             return (path, expansions) if count_expansions else path
         g_next = g_score[cell] + 1
-        for dc, dr in NEIGHBOR_STEPS:
-            col, row = cell[0] + dc, cell[1] + dr
-            if not (0 <= col < width and 0 <= row < height and free[row][col]):
-                continue
-            nxt = (col, row)
-            if nxt in closed:
-                continue
-            if g_next < g_score.get(nxt, math.inf):
+        for step in steps:
+            nxt = cell + step
+            if not closed[nxt] and g_next < g_score[nxt]:
                 g_score[nxt] = g_next
                 parent[nxt] = cell
-                h = _manhattan(nxt, goal)
+                row, col = divmod(nxt, stride)
+                h = abs(col - goal_col) + abs(row - goal_row)
                 counter += 1
-                heapq.heappush(heap, (g_next + h, h, counter, nxt))
+                heappush(heap, (g_next + h, h, counter, nxt))
 
     raise NoPathError(f"no path from {start} to {goal}")
 
@@ -530,19 +527,59 @@ def sample_reference(
     return ReferenceTrajectory(ts, poses, v, omega)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write an ASCII CSV table; csv prints floats round-trip and None empty."""
+# Rows per write: a table is stringified, joined and written in blocks of
+# this many rows, so its text never exists whole.
+CSV_BLOCK_ROWS = 256
+
+# A field holding the delimiter, the quote or the line terminator is quoted,
+# as csv.QUOTE_MINIMAL does with lineterminator "\n".
+_CSV_SPECIAL = (",", '"', "\n")
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(ch in text for ch in _CSV_SPECIAL)
+
+
+def _csv_cells(column, lone: bool) -> list[str]:
+    """A column's fields as CSV text: str() of each value, quoted where needed.
+
+    str() of a float is its shortest round-trip form.  A table of one
+    column writes an empty field as "", so its row is not a blank line.
+    """
+    cells = list(map(str, column))
+    if _needs_quotes("".join(cells)) or (lone and "" in cells):
+        cells = [
+            '"' + c.replace('"', '""') + '"' if _needs_quotes(c) or (lone and not c) else c
+            for c in cells
+        ]
+    return cells
+
+
+def write_csv(path, header, columns) -> None:
+    """Write an ASCII CSV table given column by column.
+
+    Each column is a sequence whose values print with str(), and all
+    have the same length.  The text is what ``csv.writer`` writes for
+    the same rows with a line feed as its line terminator.
+    """
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError("CSV columns must all have the same length")
+    lone = len(header) == 1
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(_csv_cells(header, lone)) + "\n")
+        for first in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [_csv_cells(c[first : first + CSV_BLOCK_ROWS], lone) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_trajectory_csv(trajectory: ReferenceTrajectory, path) -> None:
     """Write the reference table; floats keep full round-trip precision."""
+    n = len(trajectory)
+    ts = trajectory.ts
     table = np.column_stack([trajectory.poses, trajectory.v_ref, trajectory.omega_ref])
-    rows = ([n, n * trajectory.ts, *row] for n, row in enumerate(table.tolist()))
-    write_csv(path, TRAJECTORY_HEADER, rows)
+    write_csv(path, TRAJECTORY_HEADER, [range(n), [k * ts for k in range(n)], *table.T.tolist()])
 
 
 def plan_reference(

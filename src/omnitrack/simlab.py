@@ -312,8 +312,9 @@ def write_run_csv(log: EpisodeLog, path) -> None:
     if log.solver is not None:
         blocks.append(log.solver)
         header = RUN_HEADER_SOLVER
-    rows = ([n, n * log.ts, *row] for n, row in enumerate(np.hstack(blocks).tolist()))
-    write_csv(path, header, rows)
+    n = len(log)
+    ts = log.ts
+    write_csv(path, header, [range(n), [k * ts for k in range(n)], *np.hstack(blocks).T.tolist()])
 
 
 def write_metrics_csv(rows: list[dict], path, noise: bool = False) -> None:
@@ -321,18 +322,16 @@ def write_metrics_csv(rows: list[dict], path, noise: bool = False) -> None:
     keys = ["controller", "scenario", "tracking_time", "me_xy", "mae_theta"]
     flag = ["true"] if noise else []
     table = ([row[k] for k in keys] + flag for row in rows)
-    write_csv(path, keys + (["noise"] if noise else []), table)
+    write_csv(path, keys + (["noise"] if noise else []), zip(*table))
 
 
 def write_step_csv(rows: list[dict], path) -> None:
     """Write step-response characteristics; empty fields mean undefined."""
     keys = ["controller", "axis", "overshoot_pct", "rise_time", "settling_time"]
-    write_csv(path, keys, ([row[k] for k in keys] for row in rows))
+    table = (["" if row[k] is None else row[k] for k in keys] for row in rows)
+    write_csv(path, keys, zip(*table))
 
 
 def write_horizon_csv(rows: list[tuple[int, TrackingMetrics]], path) -> None:
-    write_csv(
-        path,
-        ["horizon", "me_xy", "mae_theta"],
-        ([horizon, m.me_xy, m.mae_theta] for horizon, m in rows),
-    )
+    table = ([horizon, m.me_xy, m.mae_theta] for horizon, m in rows)
+    write_csv(path, ["horizon", "me_xy", "mae_theta"], zip(*table))

@@ -329,6 +329,41 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "stray",
+    [
+        # configparser would hand [DEFAULT]'s keys to every section, so the
+        # error would name a key that [experiment] never lists.
+        "[DEFAULT]\nhorizon = 5",
+        "[DEFAULT]",
+        # A misspelt controller section would be ignored, and the
+        # controller run with its defaults.
+        "[nmcp]\nhorizon = 3",
+    ],
+    ids=["default-with-key", "default-empty", "misspelt"],
+)
+def test_stray_sections_exit_with_one(tmp_path, capsys, stray):
+    config = write_config(tmp_path)
+    config.write_text(config.read_text(encoding="ascii") + stray + "\n", encoding="ascii")
+    name = stray.splitlines()[0]
+    out = tmp_path / "never"
+    for command in ("plan", "track", "step", "horizon"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown section {name}") and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_config_values_are_read_literally(tmp_path, capsys):
+    # '%' is not configparser interpolation: a map path may hold it.
+    folder = tmp_path / "50%(x)s"
+    folder.mkdir()
+    config = write_config(folder, experiment={"map": str(folder / "arena.map")})
+    assert main(["plan", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.name)
 def test_bundled_configs_load(path):
     config = load_config(path, need_controllers=False)
@@ -443,10 +478,16 @@ FUZZ_POOL = {
 }
 
 
+# Sections no config may hold; one drawn config in ten carries one.
+STRAY_SECTIONS = ["[DEFAULT]\nhorizon = 3", "[DEFAULT]\nseed = 1", "[nmcp]", "[fpid_t1]\nv_max = 1.5"]
+
+
 @st.composite
 def fuzzed_config(draw):
-    """INI text from FUZZ_POOL: mostly valid, with bad, missing and stray keys."""
-    lines = []
+    """INI text from FUZZ_POOL: mostly valid, with bad, missing and stray
+    keys; and whether it holds a stray section."""
+    stray = draw(st.integers(0, 9)) == 9
+    lines = [draw(st.sampled_from(STRAY_SECTIONS))] if stray else []
     for section, keys in FUZZ_POOL.items():
         if section != "experiment" and draw(st.integers(0, 9)) == 9:
             continue  # a missing controller section
@@ -460,12 +501,13 @@ def fuzzed_config(draw):
                 lines.append(f"{key} = {draw(st.sampled_from(pool))}")
         if draw(st.integers(0, 19)) == 19:
             lines.append("warp = 9")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", stray
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(text=fuzzed_config(), command=st.sampled_from(["plan", "track"]))
-def test_fuzzed_configs_fail_cleanly(text, command):
+@given(drawn=fuzzed_config(), command=st.sampled_from(["plan", "track"]))
+def test_fuzzed_configs_fail_cleanly(drawn, command):
+    text, stray = drawn
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "arena.map").write_text(FREE_MAP, encoding="ascii")
@@ -474,7 +516,7 @@ def test_fuzzed_configs_fail_cleanly(text, command):
         out, err = root / "out", io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--config", str(config), "--out", str(out)])
-        assert code in (EXIT_OK, EXIT_ERROR, EXIT_NO_PATH)
+        assert code in ((EXIT_ERROR,) if stray else (EXIT_OK, EXIT_ERROR, EXIT_NO_PATH))
         if code != EXIT_OK:
             assert err.getvalue().startswith("error:")
             assert not out.exists()

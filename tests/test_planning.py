@@ -12,6 +12,9 @@ from omnitrack import planning
 from omnitrack.cli import standard_map_path
 from omnitrack.planning import (
     ARC_LENGTH_TOL,
+    CSV_BLOCK_ROWS,
+    NEIGHBOR_STEPS,
+    TRAJECTORY_HEADER,
     DegenerateCurveError,
     InvalidCellError,
     NoPathError,
@@ -25,7 +28,20 @@ from omnitrack.planning import (
     plan_reference,
     sample_reference,
     smooth,
+    write_csv,
     write_trajectory_csv,
+)
+from omnitrack.simlab import (
+    RUN_HEADER_BASE,
+    RUN_HEADER_SOLVER,
+    Episode,
+    NoiseModel,
+    TrackingMetrics,
+    run_episode,
+    write_horizon_csv,
+    write_metrics_csv,
+    write_run_csv,
+    write_step_csv,
 )
 
 
@@ -58,6 +74,73 @@ def dijkstra_oracle(grid, start, goal):
                 counter += 1
                 heapq.heappush(heap, (nd, counter, nxt))
     return None, pops
+
+
+def dict_astar(grid, start, goal):
+    """A* keyed by (col, row) tuples in dicts and sets: the reference for astar.
+
+    The same search, tie-breaks and errors as astar, with a bounds check
+    per neighbour instead of flat indices into a padded grid.  Returns
+    (cells, expansions).
+    """
+    start = (int(start[0]), int(start[1]))
+    goal = (int(goal[0]), int(goal[1]))
+    for name, cell in (("start", start), ("goal", goal)):
+        if not grid.in_bounds(cell):
+            raise InvalidCellError(f"{name} cell {cell} outside grid")
+        if not grid.is_free(cell):
+            raise InvalidCellError(f"{name} cell {cell} is occupied")
+
+    def manhattan(a, b):
+        return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+    free = (grid.cells == 0).tolist()
+    width, height = grid.width, grid.height
+    counter = 0
+    g_score = {start: 0}
+    parent = {}
+    closed = set()
+    h0 = manhattan(start, goal)
+    heap = [(h0, h0, counter, start)]
+    expansions = 0
+    while heap:
+        _, _, _, cell = heapq.heappop(heap)
+        if cell in closed:
+            continue
+        closed.add(cell)
+        expansions += 1
+        if cell == goal:
+            cells = [cell]
+            while cell != start:
+                cell = parent[cell]
+                cells.append(cell)
+            return cells[::-1], expansions
+        g_next = g_score[cell] + 1
+        for dc, dr in NEIGHBOR_STEPS:
+            col, row = cell[0] + dc, cell[1] + dr
+            if not (0 <= col < width and 0 <= row < height and free[row][col]):
+                continue
+            nxt = (col, row)
+            if nxt in closed:
+                continue
+            if g_next < g_score.get(nxt, math.inf):
+                g_score[nxt] = g_next
+                parent[nxt] = cell
+                h = manhattan(nxt, goal)
+                counter += 1
+                heapq.heappush(heap, (g_next + h, h, counter, nxt))
+    raise NoPathError(f"no path from {start} to {goal}")
+
+
+def search_outcome(search, grid, start, goal):
+    """(cells, expansions), or the error's type and message."""
+    try:
+        if search is astar:
+            path, expansions = astar(grid, start, goal, count_expansions=True)
+            return path.cells, expansions
+        return search(grid, start, goal)
+    except (InvalidCellError, NoPathError) as err:
+        return type(err), str(err)
 
 
 def random_grid(rng, fill=0.2, size=20):
@@ -134,6 +217,56 @@ def test_single_cell_path():
     path = astar(grid, (1, 1), (1, 1))
     assert path.cells == [(1, 1)]
     assert path.cost == 0
+
+
+def assert_searches_like_dict_astar(grid, start, goal):
+    want = search_outcome(dict_astar, grid, start, goal)
+    assert search_outcome(astar, grid, start, goal) == want
+    return want
+
+
+@st.composite
+def search_problems(draw):
+    """A random grid and two end points: mostly free cells, at times an
+    occupied one or one a cell outside the grid."""
+    width, height = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    # Cells and end points come from a drawn seed: hypothesis's own draws
+    # favour the corner cell and all-equal grids.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = (rng.random((height, width)) < draw(st.sampled_from([0.0, 0.3, 0.45])))
+    start = (int(rng.integers(width)), int(rng.integers(height)))
+    goal = (int(rng.integers(width)), int(rng.integers(height)))
+    kind = rng.integers(10)
+    if kind == 0:
+        goal = [(-1, goal[1]), (width, goal[1]), (goal[0], height)][rng.integers(3)]
+    elif kind > 1:  # kind 1 keeps whatever the end points landed on
+        cells[start[1], start[0]] = cells[goal[1], goal[0]] = 0
+    return OccupancyGrid(cells.astype(np.uint8)), start, goal
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(search_problems())
+def test_search_matches_dict_astar_on_random_grids(problem):
+    assert_searches_like_dict_astar(*problem)
+
+
+def test_search_matches_dict_astar_on_planning_grids():
+    # The bundled map, plan-maps-sized random grids, a goal walled off and
+    # a goal reachable only by a long detour.
+    grid = load_grid(standard_map_path())
+    outcomes = [assert_searches_like_dict_astar(grid, (0, 0), (19, 19))]
+    for seed, size in ((3, 20), (8, 60), (17, 120), (5, 160)):
+        grid = random_grid(np.random.default_rng(seed), size=size)
+        outcomes.append(assert_searches_like_dict_astar(grid, (0, 0), (size - 1, size - 1)))
+    walled = np.zeros((40, 40), dtype=np.uint8)
+    walled[30, 25:] = walled[30:, 25] = 1
+    outcomes.append(assert_searches_like_dict_astar(OccupancyGrid(walled), (0, 0), (39, 39)))
+    comb = np.zeros((30, 30), dtype=np.uint8)
+    comb[::4, :-1] = comb[2::4, 1:] = 1
+    outcomes.append(assert_searches_like_dict_astar(OccupancyGrid(comb), (0, 1), (0, 29)))
+    assert outcomes[-2][0] is NoPathError
+    assert outcomes[-1][1] > 400  # the detour: most of the free cells expanded
+    assert sum(isinstance(cells, list) for cells, _ in outcomes) >= 4
 
 
 # ------------------------------------------------------------- map files
@@ -503,3 +636,149 @@ def test_trajectory_csv_is_deterministic(tmp_path):
     write_trajectory_csv(traj, a)
     write_trajectory_csv(traj, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def csv_writer_oracle(path, header, rows):
+    """The csv.writer writer that write_csv replaced: the reference for its bytes."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def numbered_rows(table, ts):
+    """Rows [n, n * ts, *table row], as the run and trajectory tables were built."""
+    return ([n, n * ts, *row] for n, row in enumerate(table.tolist()))
+
+
+def assert_same_bytes(tmp_path, write, oracle_header, oracle_rows):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write(got)
+    csv_writer_oracle(want, oracle_header, oracle_rows)
+    assert got.read_bytes() == want.read_bytes()
+    return got
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path):
+    # 601 rows: more than two blocks, the last one partial.
+    _, _, traj = planned(total_time=60.0)
+    assert len(traj) > 2 * CSV_BLOCK_ROWS
+    table = np.column_stack([traj.poses, traj.v_ref, traj.omega_ref])
+    assert_same_bytes(
+        tmp_path,
+        lambda path: write_trajectory_csv(traj, path),
+        TRAJECTORY_HEADER,
+        numbered_rows(table, traj.ts),
+    )
+
+
+@pytest.mark.parametrize("controller", ["fpid-t1", "nmpc"])
+def test_run_csv_matches_csv_writer(tmp_path, controller):
+    _, _, traj = planned(total_time=30.0)
+    log = run_episode(
+        Episode(trajectory=traj, controller=controller, noise=NoiseModel(), seed=4)
+    ).log
+    blocks = [log.reference, log.true_pose, log.measured, log.command, log.wheels]
+    header = RUN_HEADER_BASE
+    if log.solver is not None:
+        blocks.append(log.solver)
+        header = RUN_HEADER_SOLVER
+    assert_same_bytes(
+        tmp_path,
+        lambda path: write_run_csv(log, path),
+        header,
+        numbered_rows(np.hstack(blocks), log.ts),
+    )
+
+
+def test_result_tables_match_csv_writer(tmp_path):
+    metrics = [
+        {"controller": "nmpc", "scenario": 'maps/"a,b".map', "tracking_time": 30.0,
+         "me_xy": 0.1 + 0.2, "mae_theta": 5e-324},
+        {"controller": "fpid-t1", "scenario": "standard", "tracking_time": 29.900000000000002,
+         "me_xy": 1e16, "mae_theta": -0.0},
+    ]
+    keys = ["controller", "scenario", "tracking_time", "me_xy", "mae_theta"]
+    for noise in (False, True):
+        flag = ["true"] if noise else []
+        assert_same_bytes(
+            tmp_path,
+            lambda path: write_metrics_csv(metrics, path, noise=noise),
+            keys + (["noise"] if noise else []),
+            [[row[k] for k in keys] + flag for row in metrics],
+        )
+    steps = [
+        {"controller": "nmpc", "axis": "y", "overshoot_pct": 0.0, "rise_time": None,
+         "settling_time": None},
+        {"controller": "fpid-it2", "axis": "theta", "overshoot_pct": 12.5,
+         "rise_time": 0.7000000000000001, "settling_time": 2.0},
+    ]
+    keys = ["controller", "axis", "overshoot_pct", "rise_time", "settling_time"]
+    assert_same_bytes(
+        tmp_path,
+        lambda path: write_step_csv(steps, path),
+        keys,
+        [[row[k] for k in keys] for row in steps],
+    )
+    horizons = [(h, TrackingMetrics(1.0 / (3 * h), math.pi / h)) for h in (1, 5, 20)]
+    assert_same_bytes(
+        tmp_path,
+        lambda path: write_horizon_csv(horizons, path),
+        ["horizon", "me_xy", "mae_theta"],
+        [[h, m.me_xy, m.mae_theta] for h, m in horizons],
+    )
+
+
+EDGE_CELLS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, -1.5,
+    0, -7, 10**30, -(10**19), True,
+    "", "plain", "a,b", 'say "hi"', '"', ",", "cr\rhere", "lf\nhere", "\r\n", " pad ",
+]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_write_csv_edge_cells_match_csv_writer(tmp_path, width):
+    # Every edge cell in every column position, in tables of 1-3 columns:
+    # a one-column table is where csv quotes an empty field.
+    n = len(EDGE_CELLS)
+    columns = [[EDGE_CELLS[(i + j * 7) % n] for i in range(n)] for j in range(width)]
+    header = ["h", "a,b", 'q"'][:width]
+    assert_same_bytes(
+        tmp_path,
+        lambda path: write_csv(path, header, columns),
+        header,
+        zip(*columns),
+    )
+    assert_same_bytes(tmp_path, lambda path: write_csv(path, [""], [[]]), [""], [])
+
+
+cell_values = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.text(alphabet=st.sampled_from('ab ,"\r\n.-'), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(
+            st.lists(cell_values, min_size=width, max_size=width), max_size=2 * CSV_BLOCK_ROWS + 3
+        )
+    )
+)
+def test_write_csv_matches_csv_writer_on_random_tables(tmp_path_factory, rows):
+    width = len(rows[0]) if rows else 2
+    header = [f"c{j}" for j in range(width)]
+    tmp_path = tmp_path_factory.mktemp("table")
+    assert_same_bytes(
+        tmp_path,
+        lambda path: write_csv(path, header, zip(*rows)),
+        header,
+        rows,
+    )
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "ragged.csv", ["a", "b"], [[1, 2], [3]])
