@@ -14,22 +14,21 @@ from pathlib import Path
 import numpy as np
 
 from omnitrack import (
+    WHEEL_MATRIX,
     BodyVelocity,
-    OmniGeometry,
     RobotPose,
     forward_kinematics,
     integrate_pose,
     inverse_kinematics,
-    wheel_matrix,
 )
 from omnitrack.svgplot import line_chart
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-geometry = OmniGeometry()  # body radius 0.2 m, wheel radius 0.05 m
+# Body radius 0.2 m, wheel radius 0.05 m.
 print("wheel matrix (rows = wheels, columns = vx, vy, omega):")
-print(np.array_str(wheel_matrix(geometry), precision=3, suppress_small=True))
+print(np.array_str(WHEEL_MATRIX, precision=3, suppress_small=True))
 
 # A few instructive commands: pure surge, pure sway, pure spin.
 for label, command in [
@@ -37,9 +36,9 @@ for label, command in [
     ("sway  +y", BodyVelocity(0.0, 1.0, 0.0)),
     ("spin  ccw", BodyVelocity(0.0, 0.0, 1.0)),
 ]:
-    spin = inverse_kinematics(geometry, command)
-    back = forward_kinematics(geometry, spin)
-    print(f"{label}: wheels = {np.round(spin.as_array(), 2)}"
+    spin = inverse_kinematics(command)
+    back = forward_kinematics(spin)
+    print(f"{label}: wheels = {np.round(spin, 2)}"
           f"  recovered = {np.round(back.as_array(), 3)}")
 
 # Round-trip accuracy over random commands.
@@ -47,7 +46,7 @@ rng = np.random.default_rng(1)
 worst = 0.0
 for _ in range(1000):
     v = rng.uniform([-2, -2, -4], [2, 2, 4])
-    back = forward_kinematics(geometry, inverse_kinematics(geometry, BodyVelocity(*v)))
+    back = forward_kinematics(inverse_kinematics(BodyVelocity(*v)))
     worst = max(worst, float(np.max(np.abs(back.as_array() - v))))
 print(f"worst round-trip error over 1000 random commands: {worst:.2e}")
 

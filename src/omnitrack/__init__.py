@@ -2,7 +2,8 @@
 
 The package splits into small, composable layers:
 
-- :mod:`omnitrack.kinematics` — wheel/body velocity maps and pose integration.
+- :mod:`omnitrack.kinematics` — the fixed chassis's wheel/body velocity maps
+  and pose integration.
 - :mod:`omnitrack.planning` — occupancy grids, A* search, B-spline smoothing
   and arc-length-uniform reference sampling.
 - :mod:`omnitrack.fuzzy` — type-1 and interval type-2 Mamdani engines that
@@ -16,14 +17,12 @@ The package splits into small, composable layers:
 """
 
 from omnitrack.kinematics import (
+    WHEEL_MATRIX,
     BodyVelocity,
-    OmniGeometry,
     RobotPose,
-    WheelSpeeds,
     forward_kinematics,
     integrate_pose,
     inverse_kinematics,
-    wheel_matrix,
     wrap_angle,
 )
 from omnitrack.planning import (
@@ -77,14 +76,12 @@ from omnitrack.simlab import (
 )
 
 __all__ = [
+    "WHEEL_MATRIX",
     "BodyVelocity",
-    "OmniGeometry",
     "RobotPose",
-    "WheelSpeeds",
     "forward_kinematics",
     "integrate_pose",
     "inverse_kinematics",
-    "wheel_matrix",
     "wrap_angle",
     "GridPath",
     "InvalidCellError",

@@ -20,7 +20,9 @@ Config files are INI-style.  ``[experiment]`` holds the scenario (map,
 start, goal, total_time, ts, seed, noise, controllers, out, np_values);
 one section per controller id (``[fpid-t1]``, ``[fpid-it2]``, ``[nmpc]``)
 carries that controller's tuning knobs and may be empty to accept the
-defaults.  Any other section, ``[DEFAULT]`` included, is an error.
+defaults.  ``controllers`` lists each id at most once, each with its
+section; every controller section the file holds is checked, listed or
+not.  Any other section, ``[DEFAULT]`` included, is an error.
 Every section is read into a dataclass, each key parsed by its field's
 declared type; values are literal, with no ``%`` interpolation.  The
 section name alone picks the controller and its fuzzy engine; the
@@ -118,6 +120,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown controller '{cid}' (known: {', '.join(CONTROLLER_IDS)})"
                 )
+        if len(set(self.controllers)) != len(self.controllers):
+            raise ValueError("controllers must list each controller once")
 
 
 def standard_map_path() -> Path:
@@ -189,13 +193,14 @@ def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
     config.source = source
     if need_controllers and not config.controllers:
         raise CliError("[experiment] must list at least one controller")
-    # The horizon sweep reads [nmpc] even when the controller list is empty.
-    for cid in dict.fromkeys((*config.controllers, "nmpc")):
-        if parser.has_section(cid):
+    # Every controller section is checked, listed or not: horizon reads [nmpc].
+    for cid in parser.sections():
+        if cid != "experiment":
             config.controller_configs[cid] = _section_config(
                 CONTROLLER_IDS[cid], cid, parser[cid]
             )
-        elif cid in config.controllers:
+    for cid in config.controllers:
+        if cid not in config.controller_configs:
             raise CliError(f"controller '{cid}' has no [{cid}] section")
     return config
 

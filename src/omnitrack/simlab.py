@@ -17,7 +17,6 @@ import numpy as np
 from omnitrack.fpid import FpidConfig, FuzzyPidController
 from omnitrack.fuzzy import Type2Engine
 from omnitrack.kinematics import (
-    OmniGeometry,
     RobotPose,
     forward_kinematics,
     integrate_pose,
@@ -46,9 +45,6 @@ STEP_AXES = ("x", "y", "theta")
 # The noise draw's divisor and the time scale of its sine envelope.
 NOISE_DIVISOR = 6.0
 NOISE_TIME_SCALE = 5.0
-
-# The one chassis every episode drives.
-_GEOMETRY = OmniGeometry()
 
 
 @dataclass
@@ -148,13 +144,13 @@ def run_episode(episode: Episode) -> Episode:
             cmd = ctrl.command(meas, traj, n)
             sol = ctrl.last_solution
             solver[n] = (sol.cost, sol.iterations, sol.kkt_residual)
-        spin = inverse_kinematics(_GEOMETRY, cmd)
-        actual = forward_kinematics(_GEOMETRY, spin)
+        spin = inverse_kinematics(cmd)
+        actual = forward_kinematics(spin)
 
         true_pose[n] = pose.as_array()
         measured[n] = meas.as_array()
         command[n] = cmd.as_array()
-        wheels[n] = spin.as_array()
+        wheels[n] = spin
 
         pose = integrate_pose(pose, actual, traj.ts)
 

@@ -22,8 +22,9 @@ from omnitrack.fuzzy import (
     km_centroid,
 )
 from omnitrack.kinematics import (
+    BODY_RADIUS,
+    WHEEL_RADIUS,
     BodyVelocity,
-    OmniGeometry,
     RobotPose,
     forward_kinematics,
     integrate_pose,
@@ -85,18 +86,17 @@ def ref30(grid):
 
 def test_criterion_1_kinematics_round_trip():
     with criterion(1, "kinematics round-trip", 1.0):
-        geometry = OmniGeometry()
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(1000):
             v = rng.uniform([-2.0, -2.0, -4.0], [2.0, 2.0, 4.0])
-            wheels = inverse_kinematics(geometry, BodyVelocity(*v))
-            back = forward_kinematics(geometry, wheels).as_array()
+            wheels = inverse_kinematics(BodyVelocity(*v))
+            back = forward_kinematics(wheels).as_array()
             worst = max(worst, float(np.max(np.abs(back - v))))
         assert worst <= 1e-9
-        spin = inverse_kinematics(geometry, BodyVelocity(0.0, 0.0, 1.7))
-        expected = geometry.body_radius * 1.7 / geometry.wheel_radius
-        assert all(phi == expected for phi in spin.as_array())
+        spin = inverse_kinematics(BodyVelocity(0.0, 0.0, 1.7))
+        expected = BODY_RADIUS * 1.7 / WHEEL_RADIUS
+        assert all(phi == expected for phi in spin)
 
 
 def test_criterion_2_search_matches_uninformed_oracle():

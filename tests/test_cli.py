@@ -306,6 +306,10 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         tmp_path, name="st.ini", experiment={"ts": "12", "total_time": "30"}
     )
     not_bool = write_config(tmp_path, name="b.ini", experiment={"noise": "maybe"})
+    # A repeated id would run its episodes twice and overwrite its run file.
+    repeated = write_config(
+        tmp_path, name="rp.ini", experiment={"controllers": "fpid-t1, fpid-t1"}
+    )
     good = write_config(tmp_path)
     out = tmp_path / "never"
     for argv, culprit in (
@@ -320,6 +324,8 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         (["horizon", "--config", str(good), "--np-values", "2,x"], "--np-values"),
         (["step", "--config", str(slow_step)], "ts must"),
         (["plan", "--config", str(not_bool)], "'noise'"),
+        (["track", "--config", str(repeated)], "controllers"),
+        (["step", "--config", str(repeated)], "controllers"),
         (["track", "--config", str(good), "--seed", "-1"], "seed"),
         (["horizon", "--config", str(good), "--seed", "-1"], "seed"),
     ):
@@ -351,6 +357,26 @@ def test_stray_sections_exit_with_one(tmp_path, capsys, stray):
         assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: unknown section {name}") and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, culprit",
+    [
+        ({"bogus_key": "1"}, "'bogus_key' in [fpid-t1]"),
+        ({"dist_kp": "-5"}, "[fpid-t1] section: dist_kp"),
+    ],
+    ids=["unknown-key", "out-of-range"],
+)
+def test_unlisted_controller_section_is_checked(tmp_path, capsys, body, culprit):
+    config = write_config(
+        tmp_path, experiment={"controllers": "nmpc"}, sections={"fpid-t1": body}
+    )
+    out = tmp_path / "never"
+    for command in ("plan", "track", "step", "horizon"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and culprit in err, err
         assert not out.exists()
 
 

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnitrack.kinematics import (
+    BODY_RADIUS,
+    WHEEL_ANGLES,
+    WHEEL_LEFT_INVERSE,
+    WHEEL_MATRIX,
+    WHEEL_RADIUS,
     BodyVelocity,
-    OmniGeometry,
     RobotPose,
-    WheelSpeeds,
     forward_kinematics,
     integrate_pose,
     inverse_kinematics,
-    wheel_left_inverse,
-    wheel_matrix,
     wrap_angle,
 )
 
@@ -61,61 +62,41 @@ def test_wrap_angle_scalar_property(angle):
     assert bits(wrap_angle(wrapped)) == bits(wrapped)
 
 
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        OmniGeometry(body_radius=0.0)
-    with pytest.raises(ValueError):
-        OmniGeometry(wheel_radius=-1.0)
-    with pytest.raises(ValueError):
-        OmniGeometry(wheel_angles=(0.0, 1.0, 0.5, 2.0))  # not increasing
-
-
 def test_pose_normalizes_heading():
     pose = RobotPose(1.0, 2.0, 3 * math.pi)
     assert pose.theta == pytest.approx(math.pi)
 
 
 def test_wheel_matrix_shape_and_rows():
-    geom = OmniGeometry()
-    mat = wheel_matrix(geom)
-    assert mat.shape == (4, 3)
-    # Built once per geometry and shared, so callers cannot alter it.
-    assert wheel_matrix(OmniGeometry()) is mat
-    with pytest.raises(ValueError):
-        mat[0, 0] = 1.0
-    for i, angle in enumerate(geom.wheel_angles):
-        row = np.array(
-            [-math.sin(angle), math.cos(angle), geom.body_radius]
-        ) / geom.wheel_radius
-        assert mat[i] == pytest.approx(row, abs=1e-15)
+    assert WHEEL_MATRIX.shape == (4, 3)
+    for i, angle in enumerate(WHEEL_ANGLES):
+        row = np.array([-math.sin(angle), math.cos(angle), BODY_RADIUS]) / WHEEL_RADIUS
+        assert WHEEL_MATRIX[i] == pytest.approx(row, abs=1e-15)
 
 
 def test_forward_inverse_round_trip_random():
     rng = np.random.default_rng(7)
-    geom = OmniGeometry()
     for _ in range(1000):
         vel = BodyVelocity(*rng.uniform(-3.0, 3.0, size=3))
-        speeds = inverse_kinematics(geom, vel)
-        back = forward_kinematics(geom, speeds)
+        speeds = inverse_kinematics(vel)
+        back = forward_kinematics(speeds)
         assert back.vx == pytest.approx(vel.vx, abs=1e-9)
         assert back.vy == pytest.approx(vel.vy, abs=1e-9)
         assert back.omega == pytest.approx(vel.omega, abs=1e-9)
 
 
 def test_pure_rotation_wheel_speeds_exact():
-    geom = OmniGeometry(body_radius=0.3, wheel_radius=0.06)
     omega = 1.7
-    speeds = inverse_kinematics(geom, BodyVelocity(0.0, 0.0, omega))
-    expected = geom.body_radius * omega / geom.wheel_radius
-    assert np.all(speeds.phi_dot == expected)
+    speeds = inverse_kinematics(BodyVelocity(0.0, 0.0, omega))
+    assert speeds.shape == (4,)
+    assert np.all(speeds == BODY_RADIUS * omega / WHEEL_RADIUS)
 
 
 def test_pure_translation_symmetry():
-    # Driving along +x with the default symmetric layout: the two wheels
+    # Driving along +x with the symmetric wheel layout: the two wheels
     # mounted at pi/4 and 3pi/4 turn together and oppose the pair at
     # 5pi/4 and 7pi/4.
-    speeds = inverse_kinematics(OmniGeometry(), BodyVelocity(1.0, 0.0, 0.0))
-    phi = speeds.phi_dot
+    phi = inverse_kinematics(BodyVelocity(1.0, 0.0, 0.0))
     assert phi[0] == pytest.approx(phi[1], abs=1e-12)
     assert phi[2] == pytest.approx(phi[3], abs=1e-12)
     assert phi[0] == pytest.approx(-phi[2], abs=1e-12)
@@ -136,52 +117,39 @@ def test_integrate_pose_wraps_heading():
     assert out.theta <= math.pi
 
 
-def test_wheel_speeds_validation():
+def test_forward_kinematics_rejects_bad_rates():
     with pytest.raises(ValueError):
-        WheelSpeeds(np.array([1.0, 2.0, 3.0]))  # needs four entries
+        forward_kinematics(np.array([1.0, 2.0, 3.0]))  # needs four entries
     with pytest.raises(ValueError):
-        WheelSpeeds(np.array([1.0, 2.0, 3.0, np.nan]))
+        forward_kinematics(np.array([1.0, 2.0, 3.0, np.nan]))
 
 
 def test_forward_kinematics_least_squares_consistency():
     # The 4x3 map is a tall full-rank matrix; the reconstruction must be
     # its exact pseudo-inverse action on consistent wheel speeds.
-    geom = OmniGeometry()
-    mat = wheel_matrix(geom)
     vel = np.array([0.4, -0.2, 1.1])
-    recovered = forward_kinematics(geom, WheelSpeeds(mat @ vel))
+    recovered = forward_kinematics(WHEEL_MATRIX @ vel)
     assert np.array([recovered.vx, recovered.vy, recovered.omega]) == pytest.approx(
         vel, abs=1e-12
     )
 
 
-@st.composite
-def geometries(draw):
-    """Valid geometries whose wheel mounts are at least 0.3 rad apart."""
-    start = draw(st.floats(0.0, 0.5))
-    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=3, max_size=3))
-    angles = tuple(start + float(g) for g in np.cumsum([0.0, *gaps]))
-    return OmniGeometry(
-        draw(st.floats(0.05, 1.0)), draw(st.floats(0.01, 0.2)), angles
-    )
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(geometries(), st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4))
-def test_forward_kinematics_matches_least_squares(geometry, rates):
+@given(st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4))
+def test_forward_kinematics_matches_least_squares(rates):
     rates = np.array(rates)
-    expected = np.linalg.lstsq(wheel_matrix(geometry), rates, rcond=None)[0]
-    got = forward_kinematics(geometry, WheelSpeeds(rates)).as_array()
+    expected = np.linalg.lstsq(WHEEL_MATRIX, rates, rcond=None)[0]
+    got = forward_kinematics(rates).as_array()
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_left_inverse_is_shared_and_read_only():
-    inverse = wheel_left_inverse(OmniGeometry())
-    assert inverse is wheel_left_inverse(OmniGeometry())
-    assert inverse.shape == (3, 4)
-    assert not inverse.flags.writeable
-    with pytest.raises(ValueError):
-        inverse[0, 0] = 1.0
+def test_wheel_matrices_are_read_only_constants():
+    assert WHEEL_LEFT_INVERSE.shape == (3, 4)
+    for matrix in (WHEEL_MATRIX, WHEEL_LEFT_INVERSE):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+    assert np.linalg.matrix_rank(WHEEL_MATRIX) == 3
     np.testing.assert_allclose(
-        inverse @ wheel_matrix(OmniGeometry()), np.eye(3), rtol=0.0, atol=1e-15
+        WHEEL_LEFT_INVERSE @ WHEEL_MATRIX, np.eye(3), rtol=0.0, atol=1e-15
     )
