@@ -3,11 +3,11 @@
 The robot body carries four omni wheels whose hubs sit on a circle of
 radius ``BODY_RADIUS``, mounted at fixed angular offsets around the body.
 Wheel angular rates relate linearly to the global body velocity, so the
-inverse map is a single matrix product.  The 4x3 wheel matrix has full
-column rank, and the forward map is its least-squares solve: one product
-with a 3x4 left inverse.  The lab drives one chassis, so both matrices
-are read-only constants built at import, the left inverse from a QR
-factorization.
+inverse map is a single matrix product.  The 4x3 wheel matrix has
+orthogonal columns, and the forward map is its least-squares solve: one
+product with a 3x4 left inverse, the transpose with each row divided by
+its squared norm.  The lab drives one chassis, so both matrices are
+read-only constants built at import, with no linear-algebra call.
 """
 
 from __future__ import annotations
@@ -37,16 +37,18 @@ def _wheel_matrices() -> tuple[np.ndarray, np.ndarray]:
 
     Row i of the wheel matrix is (1/r) * [-sin(a_i), cos(a_i), R] with a_i
     the mount angle of wheel i, r the wheel radius and R the body radius.
-    With ``W = QR`` the least-squares solution of ``W v = rates`` is
-    ``R^-1 Q^T rates``, so ``R^-1 Q^T`` is the left inverse.
+    The four angles are a quarter turn apart, so the columns of W are
+    orthogonal and ``W^T W`` is diag(800, 800, 64), up to the rounding of
+    the sines and cosines.  The left inverse ``(W^T W)^-1 W^T`` is then
+    ``W^T`` with row j divided by the squared norm of column j:
+    elementwise arithmetic, independent of the BLAS kernel.
     """
     angles = np.asarray(WHEEL_ANGLES, dtype=float)
     matrix = (
         np.column_stack([-np.sin(angles), np.cos(angles), np.full(4, BODY_RADIUS)])
         / WHEEL_RADIUS
     )
-    q, r = np.linalg.qr(matrix)
-    inverse = np.linalg.solve(r, q.T)
+    inverse = matrix.T / (matrix * matrix).sum(axis=0)[:, None]
     matrix.flags.writeable = False
     inverse.flags.writeable = False
     return matrix, inverse

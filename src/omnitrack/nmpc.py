@@ -230,17 +230,21 @@ class _Condensed:
 
 
 def _bounded_gn_step(
-    jac: np.ndarray, r: np.ndarray, u: np.ndarray, lower: np.ndarray, upper: np.ndarray
+    jac: np.ndarray,
+    grad: np.ndarray,
+    u: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
 ) -> np.ndarray:
     """Gauss-Newton step kept inside the box by pinning violated bounds.
 
     Each pass solves the normal equations ``H delta = -g`` with
-    ``H = J^T J`` and ``g = J^T r``.  A pinned input's row and column of
-    ``H`` become an identity row and column and its value moves to the
-    right-hand side, so every pass solves a system of one shape.
+    ``H = J^T J`` and ``g = J^T r``, which the caller has already formed
+    for its gradient and passes in as ``grad``.  A pinned input's row and
+    column of ``H`` become an identity row and column and its value moves
+    to the right-hand side, so every pass solves a system of one shape.
     """
     hess = jac.T @ jac
-    grad = jac.T @ r
     pinned = np.zeros(u.size, dtype=bool)
     system, rhs = hess, -grad
     for _ in range(u.size + 1):
@@ -344,13 +348,14 @@ def _solve_from(
 
     for _ in range(config.max_iterations):
         jac = model.jacobian(u, states)
-        grad = 2.0 * (jac.T @ r)
+        jac_r = jac.T @ r
+        grad = 2.0 * jac_r
         kkt = _kkt_residual(grad, u, lower, upper)
         if kkt <= config.kkt_tolerance:
             converged = True
             break
         iterations += 1
-        delta = _bounded_gn_step(jac, r, u, lower, upper)
+        delta = _bounded_gn_step(jac, jac_r, u, lower, upper)
         slope = float(grad @ delta)
         if slope >= 0.0:
             # Fall back to a projected gradient direction.

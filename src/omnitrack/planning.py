@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from omnitrack.kinematics import wrap_angle
 
@@ -326,7 +325,20 @@ def smooth(path: GridPath, grid: OccupancyGrid) -> SmoothPath:
     return SmoothPath(pts)
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(10)
+# The 10-point Gauss-Legendre rule on [-1, 1] (Abramowitz & Stegun 1964,
+# Table 25.4), written out bit for bit as numpy's ``leggauss(10)`` gives it.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814,
+])
 
 
 def _gl_arc(

@@ -30,15 +30,16 @@ def fresh_python(tmp_path):
     """Run Python code in a new interpreter that imports this omnitrack.
 
     Returns the code's standard output; a non-zero exit fails the test.
+    Keyword arguments are extra environment variables for that child only.
     """
     src = Path(omnitrack.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
 
-    def run(code: str) -> str:
+    def run(code: str, **env: str) -> str:
         result = subprocess.run(
             [sys.executable, "-c", code],
             cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=dict(os.environ, PYTHONPATH=path, **env),
             capture_output=True,
             text=True,
             timeout=120,

@@ -549,8 +549,17 @@ def test_fuzzed_configs_fail_cleanly(drawn, command):
 
 
 def test_cli_import_does_not_load_scipy(fresh_python):
+    # Importing the CLI loads neither scipy nor numpy.polynomial and makes
+    # no numpy.linalg call: every public numpy.linalg function raises.
     code = (
-        "import sys, omnitrack.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import sys, numpy.linalg as la\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg called during import')\n"
+        "for name in la.__all__:\n"
+        "    if not isinstance(getattr(la, name), type):\n"
+        "        setattr(la, name, refuse)\n"
+        "import omnitrack.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith('numpy.polynomial')))"
     )
     assert fresh_python(code).strip() == "[]"

@@ -1,11 +1,14 @@
 import math
+import platform
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omnitrack import planning
 from omnitrack.kinematics import (
     BODY_RADIUS,
     WHEEL_ANGLES,
@@ -153,3 +156,29 @@ def test_wheel_matrices_are_read_only_constants():
     np.testing.assert_allclose(
         WHEEL_LEFT_INVERSE @ WHEEL_MATRIX, np.eye(3), rtol=0.0, atol=1e-15
     )
+
+
+def test_wheel_left_inverse_is_the_pseudo_inverse():
+    pinv = np.linalg.pinv(WHEEL_MATRIX)
+    assert np.abs(WHEEL_LEFT_INVERSE - pinv).max() <= 3e-17
+
+
+CONSTANT_BYTES = (
+    "from omnitrack import kinematics, planning\n"
+    "arrays = (kinematics.WHEEL_LEFT_INVERSE, planning._GL_NODES, planning._GL_WEIGHTS)\n"
+    "print(' '.join(a.tobytes().hex() for a in arrays))"
+)
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels of a Linux OpenBLAS",
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Nehalem", "Prescott"])
+def test_import_constants_do_not_depend_on_the_blas_kernel(fresh_python, coretype):
+    # The variable picks the kernels of numpy's OpenBLAS in the child only.
+    want = " ".join(
+        a.tobytes().hex()
+        for a in (WHEEL_LEFT_INVERSE, planning._GL_NODES, planning._GL_WEIGHTS)
+    )
+    assert fresh_python(CONSTANT_BYTES, OPENBLAS_CORETYPE=coretype).strip() == want

@@ -254,7 +254,7 @@ def test_gn_step_matches_the_least_squares_oracle(horizon, bounded, q_diag, r_di
     else:
         lower, upper = u - 1e3, u + 1e3
     expected = lstsq_gn_step(jac, r, u, lower, upper)
-    delta = _bounded_gn_step(jac, r, u, lower, upper)
+    delta = _bounded_gn_step(jac, jac.T @ r, u, lower, upper)
     assert np.linalg.norm(delta - expected) <= 1e-12 * np.linalg.norm(expected)
     if bounded:
         assert np.any(u + delta != u + free_step)

@@ -428,6 +428,12 @@ def test_batched_arc_table_matches_loop(seed):
     np.testing.assert_allclose(cumulative, want_cumulative, rtol=1e-12, atol=1e-12)
 
 
+def test_gauss_legendre_table_matches_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_array_max_ulp(planning._GL_NODES, nodes, maxulp=1)
+    np.testing.assert_array_max_ulp(planning._GL_WEIGHTS, weights, maxulp=1)
+
+
 control_polygons = st.integers(4, 16).flatmap(
     lambda n: arrays(
         float,
