@@ -3,7 +3,8 @@
 The same 30-second reference is tracked three times: a PID whose gains
 are scheduled by a type-1 fuzzy engine, the same loop with an interval
 type-2 engine, and a receding-horizon nonlinear MPC.  The simulated
-plant is the ideal wheel-level kinematic chain, so differences come
+plant is ideal kinematics: it integrates each commanded body velocity
+as it is and logs the wheel rates that realize it, so differences come
 entirely from the controllers.
 """
 

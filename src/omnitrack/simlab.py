@@ -1,10 +1,9 @@
 """Closed-loop simulation lab: episodes, noise, metrics, sweeps.
 
-The plant is the ideal kinematic chain: each commanded body velocity is
-converted to wheel rates, recovered by the forward map and integrated
-for one step, so the simulated robot does exactly what the wheel-level
-interface allows.  Measurement noise, when enabled, corrupts only the
-pose fed to the controller; metrics are computed on the true pose.
+The plant is ideal kinematics: each commanded body velocity is
+integrated for one step as it is, and the wheel rates that realize it
+are logged beside it.  Measurement noise, when enabled, corrupts only
+the pose fed to the controller; metrics are computed on the true pose.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from omnitrack.fpid import FpidConfig, FuzzyPidController
 from omnitrack.fuzzy import Type2Engine
 from omnitrack.kinematics import (
     RobotPose,
-    forward_kinematics,
+    forward_kinematics,  # not called here; perfbench/tracer.py patches this name
     integrate_pose,
     inverse_kinematics,
     wrap_angle,
@@ -114,8 +113,9 @@ def _controller(controller: str, config=None):
 def run_episode(episode: Episode) -> Episode:
     """Run the closed loop over the episode's reference; fills the log.
 
-    Record n holds the state at time n * ts and the command applied over
-    the following step.  The same seed reproduces the run bit for bit.
+    Record n holds the state at time n * ts, the command the plant
+    integrates over the following step and the wheel rates that realize
+    it.  The same seed reproduces the run bit for bit.
     """
     traj = episode.trajectory
     n_steps = len(traj)
@@ -132,27 +132,23 @@ def run_episode(episode: Episode) -> Episode:
     solver = np.empty((n_steps, 3)) if episode.controller == "nmpc" else None
 
     for n in range(n_steps):
-        noise = (
-            episode.noise.sample(n, traj.ts, rng)
-            if episode.noise is not None
-            else np.zeros(3)
-        )
-        meas = RobotPose(pose.x + noise[0], pose.y + noise[1], pose.theta + noise[2])
+        meas = pose
+        if episode.noise is not None:
+            noise = episode.noise.sample(n, traj.ts, rng)
+            meas = RobotPose(pose.x + noise[0], pose.y + noise[1], pose.theta + noise[2])
         if solver is None:
             cmd = ctrl.command(meas, RobotPose(*traj.poses[n]), traj.ts)
         else:
             cmd = ctrl.command(meas, traj, n)
             sol = ctrl.last_solution
             solver[n] = (sol.cost, sol.iterations, sol.kkt_residual)
-        spin = inverse_kinematics(cmd)
-        actual = forward_kinematics(spin)
 
         true_pose[n] = pose.as_array()
         measured[n] = meas.as_array()
         command[n] = cmd.as_array()
-        wheels[n] = spin
+        wheels[n] = inverse_kinematics(cmd)
 
-        pose = integrate_pose(pose, actual, traj.ts)
+        pose = integrate_pose(pose, cmd, traj.ts)
 
     episode.log = EpisodeLog(
         ts=traj.ts,

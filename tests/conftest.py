@@ -29,8 +29,9 @@ def pytest_unconfigure(config):
 def fresh_python(tmp_path):
     """Run Python code in a new interpreter that imports this omnitrack.
 
-    Returns the code's standard output; a non-zero exit fails the test.
-    Keyword arguments are extra environment variables for that child only.
+    Returns the code's standard output; a non-zero exit fails the test
+    with the ends of the child's output.  Keyword arguments are extra
+    environment variables for that child only.
     """
     src = Path(omnitrack.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -43,8 +44,9 @@ def fresh_python(tmp_path):
             capture_output=True,
             text=True,
             timeout=120,
-            check=True,
         )
+        if result.returncode != 0:
+            pytest.fail(result.stdout[-4000:] + result.stderr[-2000:], pytrace=False)
         return result.stdout
 
     return run

@@ -444,7 +444,7 @@ def count_infer_calls(monkeypatch, command, config):
 
 @pytest.mark.parametrize(
     "command, config, expected",
-    [("track", "track.ini", 459), ("step", "step.ini", 252)],
+    [("track", "track.ini", 459), ("step", "step.ini", 152)],
 )
 def test_engines_are_called_once_per_change_of_a_loops_input(
     monkeypatch, tmp_path, command, config, expected

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from omnitrack.fpid import FpidConfig
-from omnitrack.kinematics import BodyVelocity, RobotPose, integrate_pose, wrap_angle
+from omnitrack.kinematics import (
+    BodyVelocity,
+    RobotPose,
+    integrate_pose,
+    inverse_kinematics,
+    wrap_angle,
+)
 from omnitrack.nmpc import OcpConfig
 from omnitrack.planning import ReferenceTrajectory
 from omnitrack.simlab import (
@@ -100,17 +106,19 @@ def test_log_layout_and_initial_row():
 
 
 def test_plant_integrates_exactly_what_was_commanded():
-    # The wheel chain (inverse map, then forward recovery) is lossless,
-    # so each logged pose must be the Euler step of the previous one
-    # under the logged command.
+    # The plant is the command: each logged pose is, bit for bit, the
+    # Euler step of the previous one under the logged command, and the
+    # logged wheel rates are that command's inverse map.
     traj = circle_trajectory(n=50)
-    episode = run_episode(Episode(trajectory=traj, controller="fpid-it2"))
-    log = episode.log
-    for n in range(len(log) - 1):
-        stepped = integrate_pose(
-            RobotPose(*log.true_pose[n]), BodyVelocity(*log.command[n]), traj.ts
-        )
-        assert np.allclose(log.true_pose[n + 1], stepped.as_array(), atol=1e-9)
+    for controller in ("fpid-t1", "fpid-it2", "nmpc"):
+        for noise in (None, NoiseModel()):
+            episode = Episode(trajectory=traj, controller=controller, noise=noise, seed=2)
+            log = run_episode(episode).log
+            for n in range(len(log) - 1):
+                cmd = BodyVelocity(*log.command[n])
+                stepped = integrate_pose(RobotPose(*log.true_pose[n]), cmd, traj.ts)
+                assert np.array_equal(log.true_pose[n + 1], stepped.as_array())
+                assert np.array_equal(log.wheels[n], inverse_kinematics(cmd))
 
 
 def test_noise_touches_only_the_measurement_path():
