@@ -4,8 +4,8 @@ Two independent PID loops chase the reference: a distance loop turns the
 range to the target pose into a speed command and a heading loop turns
 the heading error into a yaw rate.  Each loop's gains are nudged every
 step by a fuzzy engine fed the normalized error and error rate, then
-clamped to [0, k_max].  The speed command is emitted along the bearing
-to the target.
+clamped to [0, k_max].  The speed command is emitted along the line of
+sight to the target, in the global frame.
 """
 
 from __future__ import annotations
@@ -62,25 +62,15 @@ class TrackError:
     e_x: float
     e_y: float
     dr: float
-    d_alpha: float
     e_theta: float
 
 
-def compute_errors(
-    robot: RobotPose, target: RobotPose, threshold: float = DISTANCE_THRESHOLD
-) -> TrackError:
-    """Range, bearing and heading errors from robot to target.
-
-    The bearing error d_alpha is the target direction minus the robot
-    heading, wrapped; it is defined as zero once the range drops below
-    the threshold, where the direction becomes numerically meaningless.
-    """
+def compute_errors(robot: RobotPose, target: RobotPose) -> TrackError:
+    """Position error, range and wrapped heading error from robot to target."""
     e_x = target.x - robot.x
     e_y = target.y - robot.y
-    dr = math.hypot(e_x, e_y)
-    d_alpha = wrap_angle(math.atan2(e_y, e_x) - robot.theta) if dr >= threshold else 0.0
     e_theta = wrap_angle(target.theta - robot.theta)
-    return TrackError(e_x, e_y, dr, d_alpha, e_theta)
+    return TrackError(e_x, e_y, math.hypot(e_x, e_y), e_theta)
 
 
 def fpid_step(
@@ -190,21 +180,21 @@ class FuzzyPidController:
     def command(self, robot: RobotPose, target: RobotPose, dt: float) -> BodyVelocity:
         """Velocity command driving the robot toward the target pose.
 
-        The speed rides the bearing to the target.  The bearing error is
-        measured from the robot heading; adding the heading back gives the
-        global course the plant integrates.
+        The speed follows the line of sight to the target in the global
+        frame, the frame the plant integrates, whatever the robot's
+        heading; inside the threshold range there is no line of sight to
+        follow and the speed is zero.
         """
         cfg = self.config
-        err = compute_errors(robot, target, cfg.threshold)
+        err = compute_errors(robot, target)
         v = fpid_step(
             self.distance, self.engine, err.dr, dt, cfg.dist_norm, cfg.de_scale
         )
         omega = fpid_step(
             self.heading, self.engine, err.e_theta, dt, cfg.head_norm, cfg.de_scale
         )
-        if err.dr < cfg.threshold:
-            v = 0.0
-        v = min(max(v, 0.0), cfg.v_max)
         omega = min(max(omega, -cfg.omega_max), cfg.omega_max)
-        bearing = err.d_alpha + robot.theta
-        return BodyVelocity(v * math.cos(bearing), v * math.sin(bearing), omega)
+        if err.dr < cfg.threshold or err.dr == 0.0:  # a zero threshold still needs a range
+            return BodyVelocity(0.0, 0.0, omega)
+        v = min(max(v, 0.0), cfg.v_max)
+        return BodyVelocity(v * err.e_x / err.dr, v * err.e_y / err.dr, omega)

@@ -1,16 +1,16 @@
 """Nonlinear model predictive tracking control.
 
 The optimal control problem minimizes quadratic state and input tracking
-costs over a horizon of unicycle prediction steps, subject to exact
-discrete dynamics (multiple-shooting equalities) and box bounds on the
-inputs.  The solver iterates Gauss-Newton steps on the input sequence
-with the states condensed out through the rollout, so the returned
-trajectory satisfies the shooting constraints by construction;
-bounds are enforced by an active-set pass inside each step and a
-projected-gradient certificate decides convergence.  Each step solves
-the Gauss-Newton normal equations, which are positive definite because
-every input weight is positive.  The prediction steps by the sample
-time that comes with the reference windows, in :class:`OcpProblem`.
+costs over a horizon of unicycle prediction steps, subject to box bounds
+on the inputs.  The inputs are the solver's only unknowns: the states
+are their rollout through the discrete dynamics, so every returned
+trajectory satisfies those dynamics by construction.  The solver takes
+Gauss-Newton steps on the input sequence; bounds are enforced by an
+active-set pass inside each step, and the projected gradient (the KKT
+residual) decides convergence.  Each step solves the Gauss-Newton normal
+equations, which are positive definite because every input weight is
+positive.  The prediction steps by the sample time that comes with the
+reference windows, in :class:`OcpProblem`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ MIN_STEP = 1e-12
 
 
 class DimensionMismatchError(Exception):
-    """Decision vector or reference shapes do not match the horizon."""
+    """Warm start or reference shapes do not match the horizon."""
 
 
 @dataclass
@@ -132,27 +132,14 @@ class OcpProblem:
 
 @dataclass
 class OcpSolution:
-    """Stacked solution w = [u_0..u_{N-1}, x_0..x_N] plus diagnostics."""
+    """Inputs (N, 2), the states (N + 1, 3) their rollout visits, and diagnostics."""
 
-    w: np.ndarray
+    inputs: np.ndarray
+    states: np.ndarray
     cost: float
     kkt_residual: float
     iterations: int
     converged: bool
-
-    @property
-    def horizon(self) -> int:
-        return (self.w.size - 3) // 5
-
-    @property
-    def inputs(self) -> np.ndarray:
-        n = self.horizon
-        return self.w[: 2 * n].reshape(n, 2)
-
-    @property
-    def states(self) -> np.ndarray:
-        n = self.horizon
-        return self.w[2 * n :].reshape(n + 1, 3)
 
 
 def rollout(x0: np.ndarray, inputs: np.ndarray, ts: float) -> np.ndarray:
@@ -169,13 +156,11 @@ def rollout(x0: np.ndarray, inputs: np.ndarray, ts: float) -> np.ndarray:
     return np.array(states)
 
 
-def defects(problem: OcpProblem, w: np.ndarray) -> float:
-    """Largest violation of the shooting equalities, infinity norm."""
-    n = problem.horizon
-    inputs = w[: 2 * n].reshape(n, 2)
-    states = w[2 * n :].reshape(n + 1, 3)
+def defects(problem: OcpProblem, solution: OcpSolution) -> float:
+    """Largest violation of the discrete dynamics along a solution, infinity norm."""
+    inputs, states = solution.inputs, solution.states
     worst = np.max(np.abs(states[0] - problem.initial_state.as_array()))
-    for k in range(n):
+    for k in range(problem.horizon):
         nxt = rollout(states[k], inputs[k : k + 1], problem.ts)[1]
         gap = states[k + 1] - nxt
         gap[2] = wrap_angle(gap[2])
@@ -271,7 +256,7 @@ def _kkt_residual(
     at_upper = u >= upper
     res[at_lower] = np.maximum(0.0, -grad[at_lower])
     res[at_upper] = np.maximum(0.0, grad[at_upper])
-    return float(res.max()) if res.size else 0.0
+    return float(res.max())
 
 
 def _steer_guess(problem: OcpProblem, config: OcpConfig) -> np.ndarray:
@@ -338,21 +323,17 @@ def _solve_from(
     problem: OcpProblem, config: OcpConfig, u: np.ndarray
 ) -> OcpSolution:
     lower, upper, *_ = config.constants(problem.ts)
-    u = u.copy()
     model = _Condensed(problem, config)
     r, states = model.residual(u)
     cost = float(r @ r)
-    kkt = math.inf
     iterations = 0
-    converged = False
 
-    for _ in range(config.max_iterations):
+    while True:
         jac = model.jacobian(u, states)
         jac_r = jac.T @ r
         grad = 2.0 * jac_r
         kkt = _kkt_residual(grad, u, lower, upper)
-        if kkt <= config.kkt_tolerance:
-            converged = True
+        if kkt <= config.kkt_tolerance or iterations == config.max_iterations:
             break
         iterations += 1
         delta = _bounded_gn_step(jac, jac_r, u, lower, upper)
@@ -375,19 +356,13 @@ def _solve_from(
         else:
             break  # no acceptable step; report current iterate
 
-    if not converged:
-        jac = model.jacobian(u, states)
-        kkt = _kkt_residual(2.0 * (jac.T @ r), u, lower, upper)
-        converged = kkt <= config.kkt_tolerance
-
-    # The states are the rollout of u, so the shooting defects are zero
-    # by construction; ``defects`` stays as an independent check.
     return OcpSolution(
-        w=np.concatenate([u, states.ravel()]),
+        inputs=u.reshape(-1, 2),
+        states=states,
         cost=cost,
         kkt_residual=kkt,
         iterations=iterations,
-        converged=converged,
+        converged=kkt <= config.kkt_tolerance,
     )
 
 

@@ -126,16 +126,19 @@ def run_episode(episode: Episode) -> Episode:
 
     reference = traj.poses.copy()
     true_pose = np.empty((n_steps, 3))
-    measured = np.empty((n_steps, 3))
+    # With noise off the controller is fed the true pose itself.
+    measured = true_pose if episode.noise is None else np.empty((n_steps, 3))
     command = np.empty((n_steps, 3))
     wheels = np.empty((n_steps, 4))
     solver = np.empty((n_steps, 3)) if episode.controller == "nmpc" else None
 
     for n in range(n_steps):
+        true_pose[n] = pose.x, pose.y, pose.theta
         meas = pose
         if episode.noise is not None:
             noise = episode.noise.sample(n, traj.ts, rng)
             meas = RobotPose(pose.x + noise[0], pose.y + noise[1], pose.theta + noise[2])
+            measured[n] = meas.x, meas.y, meas.theta
         if solver is None:
             cmd = ctrl.command(meas, RobotPose(*traj.poses[n]), traj.ts)
         else:
@@ -143,9 +146,7 @@ def run_episode(episode: Episode) -> Episode:
             sol = ctrl.last_solution
             solver[n] = (sol.cost, sol.iterations, sol.kkt_residual)
 
-        true_pose[n] = pose.as_array()
-        measured[n] = meas.as_array()
-        command[n] = cmd.as_array()
+        command[n] = cmd.vx, cmd.vy, cmd.omega
         wheels[n] = inverse_kinematics(cmd)
 
         pose = integrate_pose(pose, cmd, traj.ts)

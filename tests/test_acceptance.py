@@ -169,7 +169,7 @@ def test_criterion_4_predictive_solver(ref30):
             solution = controller.last_solution
             x_ref, u_ref = reference_window(ref30, k, cfg.horizon)
             problem = OcpProblem(pose, x_ref, u_ref, ref30.ts)
-            assert defects(problem, solution.w) <= 1e-6
+            assert defects(problem, solution) <= 1e-6
             assert np.all(np.abs(solution.inputs[:, 0]) <= cfg.v_max)
             assert np.all(np.abs(solution.inputs[:, 1]) <= cfg.omega_max)
             pose = integrate_pose(pose, cmd, ref30.ts)

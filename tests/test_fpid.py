@@ -49,7 +49,6 @@ def test_errors_direct_fields():
     assert err.e_x == pytest.approx(3.0)
     assert err.e_y == pytest.approx(4.0)
     assert err.dr == pytest.approx(5.0)
-    assert err.d_alpha == pytest.approx(wrap_angle(math.atan2(4.0, 3.0) - 0.5))
     assert err.e_theta == pytest.approx(0.5)
 
 
@@ -61,12 +60,19 @@ def test_heading_error_wraps_across_cut():
     assert abs(err.e_theta) < 0.3
 
 
-def test_bearing_zero_inside_threshold():
-    err = compute_errors(RobotPose(0.0, 0.0, 1.0), RobotPose(0.005, 0.0, 0.0))
-    assert err.d_alpha == 0.0
-    assert err.dr < 0.01
-    far = compute_errors(RobotPose(0.0, 0.0, 1.0), RobotPose(1.0, 0.0, 0.0))
-    assert far.d_alpha == pytest.approx(wrap_angle(0.0 - 1.0))
+def test_first_translation_does_not_depend_on_the_heading():
+    # The speed follows the line of sight in the global frame: turning the
+    # robot on the spot leaves a fresh controller's (vx, vy) bit for bit.
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        x, y = rng.uniform(-2.0, 2.0, 2)
+        target = RobotPose(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-3.0, 3.0))
+        first = None
+        for theta in np.linspace(-math.pi, math.pi, 30):
+            cmd = FuzzyPidController().command(RobotPose(x, y, theta), target, 0.1)
+            if first is None:
+                first = bits(cmd.vx, cmd.vy)
+            assert bits(cmd.vx, cmd.vy) == first, theta
 
 
 # ------------------------------------------------------------- pid loop
@@ -156,6 +162,10 @@ def test_command_velocity_saturates():
 def test_command_stops_inside_deadband():
     ctrl = FuzzyPidController(FpidConfig())
     cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), RobotPose(0.004, 0.003, 0.0), 0.1)
+    assert cmd.vx == 0.0 and cmd.vy == 0.0
+    # With a zero threshold a robot on the target has no line of sight either.
+    ctrl = FuzzyPidController(FpidConfig(threshold=0.0))
+    cmd = ctrl.command(RobotPose(0.3, 0.2, 1.0), RobotPose(0.3, 0.2, 0.0), 0.1)
     assert cmd.vx == 0.0 and cmd.vy == 0.0
 
 

@@ -19,6 +19,7 @@ from omnitrack.nmpc import (
     _Condensed,
 )
 from omnitrack.planning import ReferenceTrajectory
+from omnitrack.simlab import _constant_trajectory
 
 
 # ---------------------------------------------------- reference helpers
@@ -34,20 +35,41 @@ def predict(pose, u, ts):
     )
 
 
-def ocp_cost(problem, config, w):
-    """Quadratic tracking cost of a stacked decision vector."""
+def ocp_cost(problem, config, inputs, states):
+    """Quadratic tracking cost of an input sequence and its states."""
     n = problem.horizon
-    w = np.asarray(w, dtype=float)
-    if w.shape != (5 * n + 3,):
-        raise DimensionMismatchError(f"w must have {5 * n + 3} entries")
-    inputs = w[: 2 * n].reshape(n, 2)
-    states = w[2 * n :].reshape(n + 1, 3)
+    inputs = np.asarray(inputs, dtype=float)
+    states = np.asarray(states, dtype=float)
+    if inputs.shape != (n, 2) or states.shape != (n + 1, 3):
+        raise DimensionMismatchError(f"need ({n}, 2) inputs and ({n + 1}, 3) states")
     q = np.asarray(config.q_diag)
     r = np.asarray(config.r_diag)
     ex = states - problem.x_ref
     ex[:, 2] = wrap_angle(ex[:, 2])
     eu = inputs - problem.u_ref
     return float(np.sum(ex * ex * q) + np.sum(eu * eu * r))
+
+
+def projected_fd_gradient(problem, config, inputs, step=1e-6):
+    """Infinity norm of the box-projected central-difference gradient of
+    the cost of the inputs' rollout (the solver's KKT residual)."""
+    x0 = problem.initial_state.as_array()
+    u = np.asarray(inputs, dtype=float).ravel()
+
+    def cost(flat):
+        seq = flat.reshape(-1, 2)
+        return ocp_cost(problem, config, seq, rollout(x0, seq, problem.ts))
+
+    grad = np.empty(u.size)
+    for i in range(u.size):
+        du = np.zeros(u.size)
+        du[i] = step
+        grad[i] = (cost(u + du) - cost(u - du)) / (2 * step)
+    upper = np.tile([config.v_max, config.omega_max], u.size // 2)
+    res = np.abs(grad)
+    res[u <= -upper] = np.maximum(0.0, -grad[u <= -upper])
+    res[u >= upper] = np.maximum(0.0, grad[u >= upper])
+    return float(res.max())
 
 
 def circle_trajectory(n=60, ts=0.1, radius=1.0, speed=0.6):
@@ -301,7 +323,7 @@ def test_consistent_reference_is_fixed_point():
     solution = solve(problem, cfg)
     assert solution.cost <= 1e-8
     assert solution.converged
-    assert defects(problem, solution.w) <= 1e-12
+    assert defects(problem, solution) <= 1e-12
     assert np.allclose(solution.inputs, u_ref, atol=1e-6)
 
 
@@ -332,7 +354,7 @@ def test_defects_are_negligible_and_bounds_hold():
         cmd = ctrl.command(pose, traj, k)
         sol = ctrl.last_solution
         x_ref, u_ref = reference_window(traj, k, cfg.horizon)
-        assert defects(OcpProblem(pose, x_ref, u_ref, traj.ts), sol.w) <= 1e-6
+        assert defects(OcpProblem(pose, x_ref, u_ref, traj.ts), sol) <= 1e-6
         assert np.all(np.abs(sol.inputs[:, 0]) <= cfg.v_max + 1e-12)
         assert np.all(np.abs(sol.inputs[:, 1]) <= cfg.omega_max + 1e-12)
         top_speed = max(top_speed, float(np.hypot(cmd.vx, cmd.vy)))
@@ -393,11 +415,30 @@ def test_solution_layout_round_trips():
     x_ref = np.zeros((6, 3))
     problem = OcpProblem(RobotPose(0.1, 0.0, 0.0), x_ref, u_ref, 0.1)
     sol = solve(problem, cfg)
-    assert sol.horizon == 5
     assert sol.inputs.shape == (5, 2)
     assert sol.states.shape == (6, 3)
-    assert ocp_cost(problem, cfg, sol.w) == pytest.approx(sol.cost, abs=1e-12)
-    assert defects(problem, sol.w) <= 1e-12
+    expected = rollout(problem.initial_state.as_array(), sol.inputs, problem.ts)
+    assert sol.states.tobytes() == expected.tobytes()
+    assert ocp_cost(problem, cfg, sol.inputs, sol.states) == pytest.approx(sol.cost, abs=1e-12)
+    assert defects(problem, sol) <= 1e-12
+
+
+def test_a_solve_stopped_by_the_iteration_cap_reports_its_last_iterate():
+    # The lateral step from rest: the reference inputs are a stationary
+    # point, and the turn-then-drive start needs more than ten iterations.
+    cfg = OcpConfig(max_iterations=10)
+    traj = _constant_trajectory(RobotPose(0.0, 1.0, 0.0), 10.0, 0.1)
+    x_ref, u_ref = reference_window(traj, 0, cfg.horizon)
+    problem = OcpProblem(RobotPose(0.0, 0.0, 0.0), x_ref, u_ref, traj.ts)
+    sol = solve(problem, cfg)
+    assert sol.iterations == 10
+    assert not sol.converged
+    assert sol.kkt_residual > cfg.kkt_tolerance
+    expected = projected_fd_gradient(problem, cfg, sol.inputs)
+    assert sol.kkt_residual == pytest.approx(expected, rel=1e-6)
+    x0 = problem.initial_state.as_array()
+    assert sol.states.tobytes() == rollout(x0, sol.inputs, problem.ts).tobytes()
+    assert ocp_cost(problem, cfg, sol.inputs, sol.states) == pytest.approx(sol.cost, rel=1e-12)
 
 
 def test_dimension_validation():
@@ -474,7 +515,7 @@ def test_lateral_displacement_is_not_a_stationary_trap():
     cfg = OcpConfig(horizon=15)
     x_ref = np.tile([0.0, 1.0, 0.0], (16, 1))
     problem = OcpProblem(RobotPose(0.0, 0.0, 0.0), x_ref, np.zeros((15, 2)), 0.1)
-    parked = ocp_cost(problem, cfg, np.concatenate([np.zeros(30), np.tile([0.0, 0.0, 0.0], 16)]))
+    parked = ocp_cost(problem, cfg, np.zeros((15, 2)), np.zeros((16, 3)))
     solution = solve(problem, cfg)
     assert solution.cost < parked - 1.0
     assert abs(solution.states[-1, 1]) > 0.05  # it actually moves toward y
