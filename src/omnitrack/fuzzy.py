@@ -7,7 +7,12 @@ gain.  The type-1 engine uses max-min composition and centroid
 defuzzification.  The interval type-2 engine gives every set a footprint
 of uncertainty and averages the Karnik-Mendel centroid interval of the
 aggregated output set.  A degenerate footprint (lag 0, height 1) makes
-the type-2 engine reproduce the type-1 engine exactly.
+the type-2 engine reproduce the type-1 engine up to rounding.
+
+The type-1 engine sums its three centroids in one reduction over the
+grid.  A type-2 engine writes the sums of its ``km_centroid`` calls into
+one work array that it keeps, so a call allocates none of its own; that
+engine is therefore not reentrant.
 """
 
 from __future__ import annotations
@@ -130,7 +135,7 @@ def check_footprint(height_scale: float, lag: float) -> None:
 
 
 def km_centroid(
-    x: np.ndarray, f_lower: np.ndarray, f_upper: np.ndarray
+    x: np.ndarray, f_lower: np.ndarray, f_upper: np.ndarray, work: np.ndarray | None = None
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Karnik-Mendel centroid bounds of an interval-weighted point set.
 
@@ -144,6 +149,11 @@ def km_centroid(
     or (..., n) for a batch of weightings of those points, which gives
     two arrays of the batch shape.  Each row's bounds equal those of a
     call with that row alone, bit for bit.
+
+    The sums are written into ``work``, a float array of shape (3, 2, 2,
+    ..., n + 1) whose padding columns are zero: a zeroed array, or one an
+    earlier call wrote, since no call writes them.  Without one, the call
+    allocates its own.  ``work`` changes no result.
     """
     x = np.asarray(x, dtype=float)
     fl = np.asarray(f_lower, dtype=float)
@@ -165,6 +175,10 @@ def km_centroid(
         order = np.argsort(x, kind="stable")
         x, fl, fu = x[order], fl[..., order], fu[..., order]
     n = x.size
+    if work is None:
+        work = np.zeros((3, 2, 2, *fu.shape[:-1], n + 1))
+    elif work.shape != (3, 2, 2, *fu.shape[:-1], n + 1) or work.dtype != float:
+        raise ValueError("work must be a float array of shape (3, 2, 2, ..., x.size + 1)")
     # A power-of-two scale per row is exact and changes no ratio.  It lifts
     # the row's peak weight as high as the sums below allow without
     # overflow, so that small weights and their products with x are normal
@@ -174,26 +188,27 @@ def km_centroid(
     # sorted, so the largest magnitude is at one end.
     top = 1021 - (n + 1).bit_length() - max(math.frexp(max(-x[0], x[-1]))[1], 0)
     scale = np.ldexp(1.0, np.minimum(top - np.frexp(peak)[1], 1023))[..., None]
-    terms = np.empty((2, 2, *fu.shape))  # [x * weight, weight] by [lower, upper]
-    np.multiply([fl, fu], scale, out=terms[1])
-    np.multiply(terms[1], x, out=terms[0])
+    # Indexed [terms/prefix/suffix, x * weight/weight, lower/upper, ..., n + 1].
+    terms, prefix, suffix = work
+    np.multiply(fl, scale, out=terms[1, 0, ..., :n])
+    np.multiply(fu, scale, out=terms[1, 1, ..., :n])
+    np.multiply(terms[1, ..., :n], x, out=terms[0, ..., :n])
 
     # Column k of the padded sums splits the points at switch k: prefix
-    # sums hold the k points before it, suffix sums the rest.  Tails are
+    # sums hold the k points before it, suffix sums the rest, and the
+    # padding columns, prefix 0 and suffix n, stay zero.  Tails are
     # summed on their own rather than as total minus prefix, which would
     # cancel when a light tail follows a heavy head.  Reversing the
     # lower/upper axis of the suffixes pairs lower heads with upper tails.
-    prefix = np.zeros((*terms.shape[:-1], n + 1))
-    suffix = np.zeros_like(prefix)
-    np.cumsum(terms, axis=-1, out=prefix[..., 1:])
-    np.cumsum(terms[:, ::-1, ..., ::-1], axis=-1, out=suffix[..., n - 1 :: -1])
-    num, den = prefix + suffix
+    np.cumsum(terms[..., :n], axis=-1, out=prefix[..., 1:])
+    np.cumsum(terms[:, ::-1, ..., n - 1 :: -1], axis=-1, out=suffix[..., n - 1 :: -1])
+    num, den = np.add(prefix, suffix, out=terms)
     # Upper weights on the small-x side pull the centroid down, so row 1
     # holds the left bound and row 0 the right.  A switch with no mass is
     # infeasible; its 0/0 is NaN, which fmin and fmax skip.  The all-upper
     # switch always has mass.
     with np.errstate(invalid="ignore"):
-        ratio = num / den
+        ratio = np.divide(num, den, out=num)
     y_left = np.fmin.reduce(ratio[1], axis=-1)
     y_right = np.fmax.reduce(ratio[0], axis=-1)
     if fu.ndim == 1:
@@ -216,23 +231,6 @@ def _covering_labels(sets: np.ndarray) -> np.ndarray:
     # A stable sort of "is zero" puts the covering labels first, in order.
     first = np.argsort(~nonzero, axis=0, kind="stable")[:m]
     return np.where(np.arange(m)[:, None] < count, first, first[0])
-
-
-def _keep_freed_heap() -> None:
-    """Ask glibc's malloc to keep freed heap memory rather than trim it.
-
-    A type-2 inference allocates about 0.4 MB of temporaries, most of them
-    in ``km_centroid``, and frees them when it returns.  glibc hands freed
-    memory at the top of the heap back to the system once it exceeds the
-    trim threshold, 128 KiB by default.  Whether the temporaries sit at the
-    top depends on earlier allocations, down to the length of
-    ``PYTHONPATH``; where they do, every call faults its pages in again,
-    50 to 100 minor faults that take about a third of the call's time.
-    Freeing a block above the mmap threshold raises that threshold to the
-    block's size and the trim threshold to twice it, for the whole process
-    (mallopt(3), dynamic mmap threshold).  Other allocators ignore this.
-    """
-    np.empty(1 << 17)  # 1 MiB, never written, so never faulted in
 
 
 class _EngineBase:
@@ -265,9 +263,7 @@ class _EngineBase:
         the labels that cover a grid point enter its max; the others give
         min(strength, 0) = 0 there, which cannot raise a max of
         memberships, so the result equals the max over all labels bit for
-        bit.  ``np.take`` keeps the result C-contiguous: a strided row
-        sends ``weights @ row`` down another BLAS path, which can round
-        the last bit differently.
+        bit.
         """
         flat = firing.reshape(len(firing), 1, -1)
         strengths = np.where(_RULE_LABELS, flat, 0.0).max(axis=-1)  # [gain, row, label]
@@ -283,10 +279,9 @@ class Type1Engine(_EngineBase):
 
     def infer(self, e: float, de: float) -> GainDeltas:
         """Crisp gain increments for normalized error and error rate."""
-        aggregates = self._aggregate(self._fuzzify(e, de))[:, 0]  # [gain, grid]
-        return GainDeltas(
-            *(float((self.weights * a) @ self.grid / (self.weights @ a)) for a in aggregates)
-        )
+        weighted = self.weights * self._aggregate(self._fuzzify(e, de))[:, 0]  # [gain, grid]
+        num, den = np.add.reduce([weighted * self.grid, weighted], axis=-1)
+        return GainDeltas(*(num / den).tolist())
 
 
 class Type2Engine(_EngineBase):
@@ -298,21 +293,19 @@ class Type2Engine(_EngineBase):
     increment.  With lag = 0 and height_scale = 1 the footprint is
     degenerate and the output equals the type-1 engine's.
 
-    Constructing one has a process-wide side effect under glibc: it frees
-    a 1 MiB block, which raises malloc's mmap and trim thresholds for the
-    whole process so that each call's freed temporaries are kept rather
-    than returned to the system and faulted in again (see
-    ``_keep_freed_heap``).  Other allocators ignore it.
+    The engine owns the work array of its ``km_centroid`` calls, so an
+    inference allocates no sums of its own; one engine therefore serves
+    one caller at a time and is not reentrant.
     """
 
     def __init__(self, height_scale: float = 1.0, lag: float = 0.3):
         check_footprint(height_scale, lag)
         super().__init__(height_scale, lag)
-        _keep_freed_heap()
+        self._work = np.zeros((3, 2, 2, len(_RULE_LABELS), self.grid.size + 1))
 
     def infer(self, e: float, de: float) -> GainDeltas:
         """Crisp gain increments for normalized error and error rate."""
         aggregates = self._aggregate(self._fuzzify(e, de))  # [gain, upper/lower, grid]
         weighted = self.weights * aggregates
-        y_left, y_right = km_centroid(self.grid, weighted[:, 1], weighted[:, 0])
+        y_left, y_right = km_centroid(self.grid, weighted[:, 1], weighted[:, 0], self._work)
         return GainDeltas(*(0.5 * (y_left + y_right)).tolist())

@@ -543,9 +543,10 @@ def sample_reference(
 # this many rows, so its text never exists whole.
 CSV_BLOCK_ROWS = 256
 
-# A field holding the delimiter, the quote or the line terminator is quoted,
-# as csv.QUOTE_MINIMAL does with lineterminator "\n".
-_CSV_SPECIAL = (",", '"', "\n")
+# A field holding the delimiter, the quote, the line terminator or a carriage
+# return is quoted, as csv.QUOTE_MINIMAL does with lineterminator "\n" from
+# Python 3.13 on.
+_CSV_SPECIAL = (",", '"', "\n", "\r")
 
 
 def _needs_quotes(text: str) -> bool:
@@ -572,7 +573,9 @@ def write_csv(path, header, columns) -> None:
 
     Each column is a sequence whose values print with str(), and all
     have the same length.  The text is what ``csv.writer`` writes for
-    the same rows with a line feed as its line terminator.
+    the same rows with a line feed as its line terminator, and a field
+    holding a carriage return is quoted, as Python 3.13's writer does,
+    so that ``csv.reader`` does not end the row there.
     """
     columns = list(columns)
     n_rows = len(columns[0]) if columns else 0

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import platform
 import struct
@@ -182,3 +184,32 @@ def test_import_constants_do_not_depend_on_the_blas_kernel(fresh_python, coretyp
         for a in (WHEEL_LEFT_INVERSE, planning._GL_NODES, planning._GL_WEIGHTS)
     )
     assert fresh_python(CONSTANT_BYTES, OPENBLAS_CORETYPE=coretype).strip() == want
+
+
+ENGINE_BYTES = (
+    "import numpy as np\n"
+    "from omnitrack.fuzzy import Type1Engine, Type2Engine\n"
+    "inputs = np.random.default_rng(19).uniform(-1.2, 1.2, (300, 2)).tolist()\n"
+    "for engine in (Type1Engine(), Type2Engine()):\n"
+    "    print(np.array([engine.infer(e, de) for e, de in inputs]).tobytes().hex())\n"
+)
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels of a Linux OpenBLAS",
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Nehalem", "Prescott"])
+def test_fuzzy_increments_do_not_depend_on_the_blas_kernel(fresh_python, coretype):
+    # Both engines' sums are numpy reductions, which no BLAS kernel computes.
+    want = io.StringIO()
+    with contextlib.redirect_stdout(want):
+        exec(ENGINE_BYTES, {})
+    got = fresh_python(ENGINE_BYTES, OPENBLAS_CORETYPE=coretype).splitlines()
+    assert len(got) == 2
+    for name, line, expected in zip(("t1", "it2"), got, want.getvalue().splitlines()):
+        rows = np.frombuffer(bytes.fromhex(line), dtype=float).reshape(-1, 3)
+        wanted = np.frombuffer(bytes.fromhex(expected), dtype=float).reshape(-1, 3)
+        assert len(rows) == 300
+        differing = int((rows != wanted).any(axis=1).sum())
+        assert differing == 0, f"{name}: {differing} of 300 inputs differ under {coretype}"

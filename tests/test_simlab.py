@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omnitrack.fpid import FpidConfig
 from omnitrack.kinematics import (
@@ -151,6 +153,43 @@ def test_same_seed_reproduces_the_run_bit_for_bit():
     for name in ("reference", "true_pose", "measured", "command", "wheels"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert not np.array_equal(a.measured, c.measured)
+
+
+def moved(poses, angle, offset):
+    """Poses rotated by angle about the origin, then shifted by offset."""
+    c, s = math.cos(angle), math.sin(angle)
+    x, y, theta = np.asarray(poses, dtype=float).T
+    return np.column_stack(
+        [c * x - s * y + offset[0], s * x + c * y + offset[1], wrap_angle(theta + angle)]
+    )
+
+
+_CIRCLE = circle_trajectory(n=60)
+_START = RobotPose(0.3, -0.25, 0.5)
+
+
+@pytest.mark.parametrize("controller", ["fpid-t1", "fpid-it2", "nmpc"])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(
+    angle=st.floats(-math.pi, math.pi, exclude_min=True),
+    offset=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+)
+@example(angle=math.pi, offset=(-100.0, 100.0))
+def test_closed_loop_commutes_with_rigid_motions(controller, angle, offset):
+    # Every controller acts on errors between poses, so moving the
+    # reference and the start together moves the whole run with them.
+    # Noise stays off: it is drawn in world axes.
+    moved_ref = replace(_CIRCLE, poses=moved(_CIRCLE.poses, angle, offset))
+    start = RobotPose(*moved([_START.as_array()], angle, offset)[0])
+    a = run_episode(Episode(trajectory=_CIRCLE, controller=controller, initial_pose=_START)).log
+    b = run_episode(Episode(trajectory=moved_ref, controller=controller, initial_pose=start)).log
+    want = moved(a.true_pose, angle, offset)
+    tol = 1e-9 * (1.0 + math.hypot(*offset))
+    assert np.abs(b.true_pose[:, :2] - want[:, :2]).max() <= tol
+    assert np.abs(wrap_angle(b.true_pose[:, 2] - want[:, 2])).max() <= tol
+    ma, mb = tracking_metrics(a), tracking_metrics(b)
+    assert mb.me_xy == pytest.approx(ma.me_xy, rel=1e-9)
+    assert mb.mae_theta == pytest.approx(ma.mae_theta, rel=1e-9)
 
 
 def test_noise_free_episode_does_not_import_numpy_random(fresh_python):
