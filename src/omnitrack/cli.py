@@ -20,9 +20,11 @@ Config files are INI-style.  ``[experiment]`` holds the scenario (map,
 start, goal, total_time, ts, seed, noise, controllers, out, np_values);
 one section per controller id (``[fpid-t1]``, ``[fpid-it2]``, ``[nmpc]``)
 carries that controller's tuning knobs and may be empty to accept the
-defaults.  ``controllers`` lists each id at most once, each with its
-section; every controller section the file holds is checked, listed or
-not.  Any other section, ``[DEFAULT]`` included, is an error.
+defaults; README's config table lists every key with its default and
+the values it accepts.  ``controllers`` lists each id at most once,
+each with its section; every controller section the file holds is
+checked, listed or not.  Any other section, ``[DEFAULT]`` included, is
+an error.
 Every section is read into a dataclass, each key parsed by its field's
 declared type; values are literal, with no ``%`` interpolation.  The
 section name alone picks the controller and its fuzzy engine; the

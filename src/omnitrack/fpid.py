@@ -17,6 +17,11 @@ from dataclasses import dataclass, field
 from omnitrack.fuzzy import GainDeltas, Type1Engine, check_footprint
 from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
 
+# Each loop's error range, the error rate's extra divisor, and the range
+# to the target inside which the speed command is zero.
+DISTANCE_NORM = 1.0
+HEADING_NORM = math.pi
+DE_SCALE = 10.0
 DISTANCE_THRESHOLD = 0.01
 
 # The bytes of a normalized (e, de) pair: equal bytes are the same input
@@ -28,10 +33,10 @@ _PAIR = struct.Struct("dd")
 class PidState:
     """Gains plus integrator and previous error of one PID loop.
 
-    The last three fields remember the loop's last engine call: the
-    engine, the bytes of its normalized input and the increments it
-    returned.  They are a memo, not part of the PID law, so they are not
-    constructor parameters: every state starts with an empty memo.
+    The integrator and previous error start at zero.  The last three
+    fields remember the loop's last engine call: the engine, the bytes of
+    its normalized input and the increments it returned, a memo outside
+    the PID law.  None of these five is a constructor parameter.
     """
 
     kp: float
@@ -39,8 +44,8 @@ class PidState:
     kd: float
     k_max: float = 10.0
     i_max: float = 1.0
-    integral: float = 0.0
-    prev_error: float = 0.0
+    integral: float = field(default=0.0, init=False)
+    prev_error: float = field(default=0.0, init=False)
     engine: object = field(default=None, init=False, repr=False, compare=False)
     last_input: bytes | None = field(default=None, init=False, repr=False, compare=False)
     last_deltas: GainDeltas | None = field(
@@ -79,12 +84,11 @@ def fpid_step(
     error: float,
     dt: float,
     norm_scale: float,
-    de_scale: float = 10.0,
 ) -> float:
     """One self-tuning PID update; mutates state, returns the output.
 
     The engine sees the error and its rate normalized into [-1, 1] (the
-    rate additionally divided by de_scale) and returns gain increments,
+    rate additionally divided by DE_SCALE) and returns gain increments,
     which are applied before the PID law is evaluated.  An engine is a
     pure function of that pair, so while the pair repeats bit for bit
     and the engine is the same object, the loop reuses the increments
@@ -94,11 +98,9 @@ def fpid_step(
         raise ValueError("dt must be positive")
     if not norm_scale > 0.0:
         raise ValueError("norm_scale must be positive")
-    if not de_scale > 0.0:
-        raise ValueError("de_scale must be positive")
     derivative = (error - state.prev_error) / dt
     e_n = min(max(error / norm_scale, -1.0), 1.0)
-    de_n = min(max(derivative / (norm_scale * de_scale), -1.0), 1.0)
+    de_n = min(max(derivative / (norm_scale * DE_SCALE), -1.0), 1.0)
     key = _PAIR.pack(e_n, de_n)
     if engine is not state.engine or key != state.last_input:
         state.last_deltas = engine.infer(e_n, de_n)
@@ -125,10 +127,6 @@ class FpidConfig:
     head_kd: float = 0.1
     k_max: float = 10.0
     i_max: float = 1.0
-    dist_norm: float = 1.0
-    head_norm: float = math.pi
-    de_scale: float = 10.0
-    threshold: float = DISTANCE_THRESHOLD
     v_max: float = 1.5
     omega_max: float = 3.14
     fou_height_scale: float = 1.0
@@ -137,11 +135,6 @@ class FpidConfig:
     def __post_init__(self):
         if not self.v_max > 0.0 or not self.omega_max > 0.0:
             raise ValueError("velocity bounds must be positive")
-        for name in ("dist_norm", "head_norm", "de_scale"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 <= self.threshold < math.inf:
-            raise ValueError("threshold must be non-negative and finite")
         if not (0.0 < self.k_max < math.inf and 0.0 < self.i_max < math.inf):
             raise ValueError("k_max and i_max must be positive and finite")
         gains = ("dist_kp", "dist_ki", "dist_kd", "head_kp", "head_ki", "head_kd")
@@ -182,19 +175,15 @@ class FuzzyPidController:
 
         The speed follows the line of sight to the target in the global
         frame, the frame the plant integrates, whatever the robot's
-        heading; inside the threshold range there is no line of sight to
+        heading; inside DISTANCE_THRESHOLD there is no line of sight to
         follow and the speed is zero.
         """
         cfg = self.config
         err = compute_errors(robot, target)
-        v = fpid_step(
-            self.distance, self.engine, err.dr, dt, cfg.dist_norm, cfg.de_scale
-        )
-        omega = fpid_step(
-            self.heading, self.engine, err.e_theta, dt, cfg.head_norm, cfg.de_scale
-        )
+        v = fpid_step(self.distance, self.engine, err.dr, dt, DISTANCE_NORM)
+        omega = fpid_step(self.heading, self.engine, err.e_theta, dt, HEADING_NORM)
         omega = min(max(omega, -cfg.omega_max), cfg.omega_max)
-        if err.dr < cfg.threshold or err.dr == 0.0:  # a zero threshold still needs a range
+        if err.dr < DISTANCE_THRESHOLD:
             return BodyVelocity(0.0, 0.0, omega)
         v = min(max(v, 0.0), cfg.v_max)
         return BodyVelocity(v * err.e_x / err.dr, v * err.e_y / err.dr, omega)

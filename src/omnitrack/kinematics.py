@@ -123,11 +123,11 @@ def forward_kinematics(wheels: np.ndarray) -> BodyVelocity:
 
 
 def integrate_pose(pose: RobotPose, velocity: BodyVelocity, dt: float) -> RobotPose:
-    """Advance a pose by one forward-Euler step of length dt."""
+    """One forward-Euler step of length dt; RobotPose wraps the new heading."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     return RobotPose(
         pose.x + velocity.vx * dt,
         pose.y + velocity.vy * dt,
-        wrap_angle(pose.theta + velocity.omega * dt),
+        pose.theta + velocity.omega * dt,
     )

@@ -495,6 +495,14 @@ class ReferenceTrajectory:
         return (len(self) - 1) * self.ts
 
 
+def sample_count(duration: float, ts: float) -> int:
+    """floor(duration / ts) + 1, or a ValueError if the quotient overflows."""
+    quotient = duration / ts
+    if not quotient < math.inf:
+        raise ValueError(f"a duration of {duration} s at ts {ts} s is too many samples")
+    return math.floor(quotient) + 1
+
+
 def sample_reference(
     curve: SmoothPath, total_time: float, ts: float
 ) -> ReferenceTrajectory:
@@ -507,7 +515,7 @@ def sample_reference(
     """
     if not total_time > 0.0 or not ts > 0.0:
         raise ValueError("total_time and ts must be positive")
-    n_points = int(math.floor(total_time / ts)) + 1
+    n_points = sample_count(total_time, ts)
     if n_points < 2:
         raise ValueError("total_time must cover at least one step")
 

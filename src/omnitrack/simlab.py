@@ -9,7 +9,7 @@ the pose fed to the controller; metrics are computed on the true pose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from omnitrack.kinematics import (
     wrap_angle,
 )
 from omnitrack.nmpc import NmpcController, OcpConfig
-from omnitrack.planning import ReferenceTrajectory, write_csv
+from omnitrack.planning import ReferenceTrajectory, sample_count, write_csv
 
 # Each controller id and the config class it is tuned by.
 CONTROLLER_IDS = {"fpid-t1": FpidConfig, "fpid-it2": FpidConfig, "nmpc": OcpConfig}
@@ -89,7 +89,7 @@ class Episode:
     noise: NoiseModel | None = None
     seed: int = 0
     initial_pose: RobotPose | None = None
-    log: EpisodeLog | None = None
+    log: EpisodeLog | None = field(default=None, init=False)
 
     def __post_init__(self):
         cls = CONTROLLER_IDS.get(self.controller)
@@ -242,7 +242,7 @@ def step_metrics(t: np.ndarray, y: np.ndarray, target: float) -> StepMetrics:
 
 
 def _constant_trajectory(target: RobotPose, duration: float, ts: float) -> ReferenceTrajectory:
-    n = int(math.floor(duration / ts)) + 1
+    n = sample_count(duration, ts)
     poses = np.tile(target.as_array(), (n, 1))
     return ReferenceTrajectory(ts, poses, np.zeros(n), np.zeros(n))
 

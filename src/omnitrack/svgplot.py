@@ -21,7 +21,11 @@ def _fmt(value: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
+    """Round tick positions covering [lo, hi].
+
+    Ticks are counted by index, so a range a few ulps wide, where a tick
+    plus the step is the same tick, still gets a bounded list.
+    """
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / max(count - 1, 1)
@@ -30,13 +34,8 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
         step = mult * mag
         if step >= raw:
             break
-    start = math.ceil(lo / step) * step
-    ticks = []
-    value = start
-    while value <= hi + 1e-12 * abs(step):
-        ticks.append(round(value, 12))
-        value += step
-    return ticks
+    last = math.floor(hi / step + 1e-12)
+    return [round(k * step, 12) for k in range(math.ceil(lo / step), last + 1)]
 
 
 class _Canvas:

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,15 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omnitrack
 from omnitrack.cli import (
     EXIT_ERROR,
     EXIT_NO_PATH,
     EXIT_OK,
     ExperimentConfig,
+    _coerce_field,
     load_config,
     main,
     standard_map_path,
 )
+from omnitrack.fpid import FpidConfig
+from omnitrack.nmpc import OcpConfig
 from omnitrack.simlab import CONTROLLER_IDS, EpisodeLog, tracking_metrics
 
 from test_simlab import read_csv_floats
@@ -270,18 +277,33 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
     capsys.readouterr()
 
     endless = [
-        write_config(tmp_path, name=f"e{i}.ini", experiment={"total_time": value})
+        ("track", write_config(tmp_path, name=f"e{i}.ini", experiment={"total_time": value}))
         for i, value in enumerate(("inf", "1e400", "1e16"))
     ]
-    bad_knobs = [
-        write_config(tmp_path, name="f.ini", sections={"fpid-t1": {"de_scale": "0"}}),
-        write_config(tmp_path, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}}),
-        write_config(tmp_path, name="k.ini", sections={"nmpc": {"kkt_tolerance": "inf"}}),
+    # Sample counts whose quotient overflows a float: 1e308 / 0.1, and
+    # 6 / 1e-320 or step's 10 s / 1e-320.
+    endless += [
+        ("plan", write_config(tmp_path, name="o1.ini", experiment={"total_time": "1e308"})),
+        ("track", write_config(tmp_path, name="o2.ini", experiment={"ts": "1e-320"})),
+        (
+            "step",
+            write_config(
+                tmp_path, name="o3.ini", experiment={"ts": "1e-320", "total_time": "1e-300"}
+            ),
+        ),
     ]
-    for config in endless + bad_knobs:
-        assert main(["track", "--config", str(config)]) == EXIT_ERROR, config.name
+    bad_knobs = [
+        ("track", write_config(tmp_path, name="f.ini", sections={"fpid-t1": {"k_max": "0"}})),
+        ("track", write_config(tmp_path, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}})),
+        ("track", write_config(tmp_path, name="k.ini", sections={"nmpc": {"kkt_tolerance": "inf"}})),
+    ]
+    out = tmp_path / "never"
+    for command, config in endless + bad_knobs:
+        argv = [command, "--config", str(config), "--out", str(out)]
+        assert main(argv) == EXIT_ERROR, config.name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists(), config.name
 
     # Rejected before planning, with the culprit named.
     zero_r = write_config(
@@ -438,6 +460,75 @@ def test_the_readme_config_example_loads(tmp_path):
     assert sorted(config.controller_configs) == sorted(CONTROLLER_IDS)
 
 
+# The README config table's section column, and the class each one fills.
+README_SECTIONS = {"[experiment]": ExperimentConfig, "[fpid-*]": FpidConfig, "[nmpc]": OcpConfig}
+
+
+def test_the_readme_config_table_lists_every_key_with_its_default():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in readme.splitlines()
+        if line.startswith("| `[")
+    ]
+    listed = {(section, key): default for section, key, default, _ in rows}
+    assert len(listed) == len(rows)
+    assert set(listed) == {
+        (section, f.name)
+        for section, cls in README_SECTIONS.items()
+        for f in dataclasses.fields(cls)
+        if f.init
+    }
+    # Each default, read as a file's value would be, is the field's own.
+    for (section, key), raw in listed.items():
+        cls = README_SECTIONS[section]
+        value = _coerce_field(cls, key, "" if raw == "(empty)" else raw)
+        want = {f.name: f.default for f in dataclasses.fields(cls)}[key]
+        assert value == want and type(value) is type(want), (section, key)
+
+
+@pytest.mark.parametrize("key", ["dist_norm", "head_norm", "de_scale", "threshold"])
+def test_the_fuzzy_pid_constants_are_not_keys(tmp_path, capsys, key):
+    # The normalizing ranges, the rate divisor and the stopping range are
+    # constants of omnitrack.fpid; a file that sets one fails as a typo does.
+    out = tmp_path / "never"
+    for section in ("fpid-t1", "fpid-it2"):
+        config = write_config(tmp_path, sections={section: {key: "0.05"}})
+        assert main(["track", "--config", str(config), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown key '{key}' in [{section}]"), err
+        assert not out.exists()
+
+
+def test_a_straight_reference_is_charted_in_finite_time(tmp_path):
+    # Straight up a free map, the reference and NMPC headings span two
+    # ulps of pi/2, a range too narrow for adding a tick step to change a
+    # tick.  The run goes in a child process so that a hang fails the test.
+    (tmp_path / "free.map").write_text("20 20 1\n" + ("0" * 20 + "\n") * 20, encoding="ascii")
+    config = tmp_path / "straight.ini"
+    config.write_text(
+        "[experiment]\nmap = free.map\nstart = 0,0\ngoal = 0,19\ntotal_time = 20\n"
+        "controllers = nmpc\n[nmpc]\n",
+        encoding="ascii",
+    )
+    src = Path(omnitrack.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "omnitrack.cli", "track", "--config", str(config)]
+    try:
+        result = subprocess.run(
+            argv + ["--out", "out"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("track on a straight reference did not finish in 30 s", pytrace=False)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert (tmp_path / "out" / "tracking_theta.svg").exists()
+
+
 def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     configs, walled, cwd = tmp_path / "configs", tmp_path / "walled", tmp_path / "cwd"
     for directory in (configs, walled, cwd):
@@ -447,7 +538,7 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     bad_np = write_config(configs, name="n.ini", experiment={"np_values": "0,5"})
     endless = write_config(configs, name="e.ini", experiment={"total_time": "inf"})
     huge = write_config(configs, name="h.ini", experiment={"total_time": "1e16"})
-    bad_fpid = write_config(configs, name="f.ini", sections={"fpid-t1": {"de_scale": "0"}})
+    bad_fpid = write_config(configs, name="f.ini", sections={"fpid-t1": {"k_max": "0"}})
     bad_nmpc = write_config(configs, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}})
     nmpc_ts = write_config(configs, name="ts.ini", sections={"nmpc": {"ts": "0.05"}})
     blocked = write_config(walled)
@@ -475,7 +566,7 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
 
 
 # Values every fuzzed key may take besides its valid ones.
-BAD_VALUES = ["0", "-1", "nan", "inf", "1e16", "", "x"]
+BAD_VALUES = ["0", "-1", "nan", "inf", "1e16", "1e308", "1e-320", "", "x"]
 FUZZ_POOL = {
     "experiment": {
         "start": ["0,0", "2,1"],
@@ -488,11 +579,11 @@ FUZZ_POOL = {
     },
     "fpid-t1": {
         "dist_kp": ["1.0", "2.5"],
-        "de_scale": ["10"],
+        "i_max": ["1.0"],
         "v_max": ["1.5"],
-        "threshold": ["0.05"],
+        "omega_max": ["3.14"],
     },
-    "fpid-it2": {"fou_lag": ["0.3", "0.7"], "head_norm": ["3.14"]},
+    "fpid-it2": {"fou_lag": ["0.3", "0.7"], "fou_height_scale": ["1.0", "0.8"]},
     "nmpc": {
         "horizon": ["3"],
         "q_diag": ["15, 15, 15", "1, 1", "1, 2, 3, 4"],  # then two wrong lengths

@@ -88,7 +88,7 @@ def test_fixed_gain_step_matches_hand_computation():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"dt": 0.0}, {"norm_scale": -1.0}, {"de_scale": 0.0}, {"de_scale": math.nan}]
+    "kwargs", [{"dt": 0.0}, {"norm_scale": -1.0}, {"norm_scale": math.nan}, {"dt": math.nan}]
 )
 def test_step_rejects_nonpositive_scales(kwargs):
     args = {"error": 1.0, "dt": 0.1, "norm_scale": 1.0, **kwargs}
@@ -134,7 +134,7 @@ def test_engine_sees_normalized_inputs():
     fpid_step(state, Probe(), error=math.pi / 2, dt=0.1, norm_scale=math.pi)
     e_n, de_n = seen[0]
     assert e_n == pytest.approx(0.5)
-    # Rate (pi/2 / 0.1) normalized by pi and de_scale=10, clamped to 1.
+    # Rate (pi/2 / 0.1) normalized by pi and the rate divisor 10, clamped to 1.
     assert de_n == pytest.approx(min(1.0, (math.pi / 2 / 0.1) / math.pi / 10.0))
     fpid_step(state, Probe(), error=100.0, dt=0.1, norm_scale=1.0)
     assert seen[1][0] == 1.0  # clamped
@@ -163,8 +163,8 @@ def test_command_stops_inside_deadband():
     ctrl = FuzzyPidController(FpidConfig())
     cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), RobotPose(0.004, 0.003, 0.0), 0.1)
     assert cmd.vx == 0.0 and cmd.vy == 0.0
-    # With a zero threshold a robot on the target has no line of sight either.
-    ctrl = FuzzyPidController(FpidConfig(threshold=0.0))
+    # A robot on the target has no line of sight either.
+    ctrl = FuzzyPidController(FpidConfig())
     cmd = ctrl.command(RobotPose(0.3, 0.2, 1.0), RobotPose(0.3, 0.2, 0.0), 0.1)
     assert cmd.vx == 0.0 and cmd.vy == 0.0
 
@@ -216,19 +216,9 @@ def test_engine_choice_from_config():
     outputs = [it2.infer(e, de) for e, de in probes]
     assert outputs == [Type2Engine(height_scale=0.8, lag=0.45).infer(e, de) for e, de in probes]
     assert outputs != [Type2Engine().infer(e, de) for e, de in probes]
-    # A zero or infinite scale divides the error into 0/0 or nothing, and
-    # a NaN threshold turns every range comparison false.  Gains outside
-    # [0, k_max] and footprints the type-2 engine rejects fail here, not
-    # when the first episode builds its controller.
+    # Gains outside [0, k_max] and footprints the type-2 engine rejects
+    # fail here, not when the first episode builds its controller.
     for bad in (
-        {"de_scale": 0.0},
-        {"dist_norm": 0.0},
-        {"head_norm": -1.0},
-        {"de_scale": math.inf},
-        {"dist_norm": math.nan},
-        {"threshold": math.nan},
-        {"threshold": -0.01},
-        {"threshold": math.inf},
         {"dist_kp": 12.0},
         {"head_kd": -0.1},
         {"dist_ki": 5.0, "k_max": 4.0},
@@ -300,11 +290,11 @@ def test_closed_loop_settles_into_tracking_band():
 # ------------------------------------------------ reuse of gain increments
 
 
-def always_infer_step(state, engine, error, dt, norm_scale, de_scale=10.0):
+def always_infer_step(state, engine, error, dt, norm_scale):
     """The loop update that asks the engine at every step (the oracle)."""
     derivative = (error - state.prev_error) / dt
     e_n = min(max(error / norm_scale, -1.0), 1.0)
-    de_n = min(max(derivative / (norm_scale * de_scale), -1.0), 1.0)
+    de_n = min(max(derivative / (norm_scale * fpid.DE_SCALE), -1.0), 1.0)
     dkp, dki, dkd = engine.infer(e_n, de_n)
     state.kp = min(max(state.kp + dkp, 0.0), state.k_max)
     state.ki = min(max(state.ki + dki, 0.0), state.k_max)
@@ -359,19 +349,18 @@ def error_runs(draw):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(error_runs(), st.sampled_from([(1.0, 10.0), (math.pi, 10.0), (0.5, 2.0)]))
-@example([(0.0, 0), (-0.0, 0), (-0.0, 0), (0.0, 0), (0.0, 1), (0.0, 1)], (1.0, 10.0))
-def test_reuse_matches_the_always_infer_oracle_bit_for_bit(steps, scales):
-    norm_scale, de_scale = scales
+@given(error_runs(), st.sampled_from([1.0, math.pi, 0.5]))
+@example([(0.0, 0), (-0.0, 0), (-0.0, 0), (0.0, 0), (0.0, 1), (0.0, 1)], 1.0)
+def test_reuse_matches_the_always_infer_oracle_bit_for_bit(steps, norm_scale):
     oracle_calls, calls = [], []
     oracle_engines = [Probe(i, engine, oracle_calls) for i, engine in enumerate(_REAL_ENGINES)]
     engines = [Probe(i, engine, calls) for i, engine in enumerate(_REAL_ENGINES)]
     oracle_state, state = PidState(1.0, 0.2, 0.1), PidState(1.0, 0.2, 0.1)
     for error, which in steps:
         expected = always_infer_step(
-            oracle_state, oracle_engines[which], error, 0.1, norm_scale, de_scale
+            oracle_state, oracle_engines[which], error, 0.1, norm_scale
         )
-        got = fpid_step(state, engines[which], error, 0.1, norm_scale, de_scale)
+        got = fpid_step(state, engines[which], error, 0.1, norm_scale)
         assert bits(got) == bits(expected)
         assert loop_fields(state) == loop_fields(oracle_state)
     # One call per change of engine or of input bytes: 0.0 and -0.0 differ.
@@ -402,6 +391,14 @@ def test_the_memo_is_not_a_constructor_parameter(memo):
     state = PidState(1.0, 0.0, 0.0)
     assert (state.engine, state.last_input, state.last_deltas) == (None, None, None)
     assert state == PidState(1.0, 0.0, 0.0) and "last" not in repr(state)
+
+
+@pytest.mark.parametrize("run_state", ["integral", "prev_error"])
+def test_the_run_state_is_not_a_constructor_parameter(run_state):
+    with pytest.raises(TypeError):
+        PidState(1.0, 0.0, 0.0, **{run_state: 0.5})
+    state = PidState(1.0, 0.0, 0.0)
+    assert (state.integral, state.prev_error) == (0.0, 0.0)
 
 
 def test_a_failed_inference_is_not_remembered():
@@ -436,15 +433,15 @@ def count_infer_calls(monkeypatch, command, config):
 
         monkeypatch.setattr(cls, "infer", counted)
 
-    def watched(state, engine, error, dt, norm_scale, de_scale=10.0, step=fpid.fpid_step):
+    def watched(state, engine, error, dt, norm_scale, step=fpid.fpid_step):
         derivative = (error - state.prev_error) / dt
         e_n = min(max(error / norm_scale, -1.0), 1.0)
-        de_n = min(max(derivative / (norm_scale * de_scale), -1.0), 1.0)
+        de_n = min(max(derivative / (norm_scale * fpid.DE_SCALE), -1.0), 1.0)
         key = (engine, bits(e_n, de_n))
         if last.get(id(state), (None, None))[1] != key:
             changes[type(engine).__name__] += 1
         last[id(state)] = (state, key)  # holding the state keeps its id unique
-        return step(state, engine, error, dt, norm_scale, de_scale)
+        return step(state, engine, error, dt, norm_scale)
 
     monkeypatch.setattr(fpid, "fpid_step", watched)
     with contextlib.redirect_stdout(io.StringIO()):

@@ -122,6 +122,16 @@ def test_integrate_pose_wraps_heading():
     assert out.theta <= math.pi
 
 
+@given(theta=ANGLES, omega=st.floats(-100.0, 100.0), dt=st.floats(1e-3, 1.0))
+def test_the_plant_wraps_the_heading_once(theta, omega, dt):
+    # RobotPose wraps its heading, and a second wrap gives the same bytes,
+    # so integrate_pose leaves the wrap to the pose it builds.
+    pose = RobotPose(0.0, 0.0, theta)
+    once = wrap_angle(pose.theta + omega * dt)
+    out = integrate_pose(pose, BodyVelocity(0.0, 0.0, omega), dt)
+    assert bits(out.theta) == bits(once) == bits(wrap_angle(once))
+
+
 def test_forward_kinematics_rejects_bad_rates():
     with pytest.raises(ValueError):
         forward_kinematics(np.array([1.0, 2.0, 3.0]))  # needs four entries

@@ -313,6 +313,15 @@ def test_horizon_sweep_accepts_a_base_config():
     assert template.log is None and template.controller_config is base
 
 
+def test_the_log_is_not_a_constructor_parameter():
+    traj = circle_trajectory(n=5)
+    with pytest.raises(TypeError):
+        Episode(traj, "fpid-t1", log=None)
+    episode = run_episode(Episode(traj, "fpid-t1"))
+    assert len(episode.log) == 5
+    assert replace(episode, seed=1).log is None  # a copy has not run
+
+
 # ------------------------------------------------------------- csv files
 
 
