@@ -1,11 +1,13 @@
 """Wheel-level kinematics of the four-wheel omni platform.
 
 The chassis mounts four omni wheels at 45, 135, 225 and 315 degrees.
-Each wheel contributes one row of a 4x3 matrix mapping body velocity
-(vx, vy, omega) to wheel spin rates; the forward map is the least
-squares inverse.  This walk-through exercises both directions and
-integrates a short open-loop "dance" to show the platform translating
-and spinning independently.
+Each wheel contributes one row of a 4x3 matrix mapping the velocity in
+the robot's own frame (vx_b, vy_b, omega) to wheel spin rates; the
+forward map is the least squares inverse.  Commands are given in the
+global frame, so both maps also take the heading and rotate by it.
+This walk-through exercises both directions, shows one global command
+at two headings, and integrates a short open-loop "dance" to show the
+platform translating and spinning independently.
 """
 
 import math
@@ -27,7 +29,7 @@ OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 # Body radius 0.2 m, wheel radius 0.05 m.
-print("wheel matrix (rows = wheels, columns = vx, vy, omega):")
+print("wheel matrix (rows = wheels, columns = body vx, vy, omega):")
 print(np.array_str(WHEEL_MATRIX, precision=3, suppress_small=True))
 
 # A few instructive commands: pure surge, pure sway, pure spin.
@@ -36,17 +38,23 @@ for label, command in [
     ("sway  +y", BodyVelocity(0.0, 1.0, 0.0)),
     ("spin  ccw", BodyVelocity(0.0, 0.0, 1.0)),
 ]:
-    spin = inverse_kinematics(command)
-    back = forward_kinematics(spin)
+    spin = inverse_kinematics(command, 0.0)
+    back = forward_kinematics(spin, 0.0)
     print(f"{label}: wheels = {np.round(spin, 2)}"
           f"  recovered = {np.round(back.as_array(), 3)}")
 
-# Round-trip accuracy over random commands.
+# The same global +x command facing +y is a move to the robot's right.
+turned = inverse_kinematics(BodyVelocity(1.0, 0.0, 0.0), math.pi / 2.0)
+print(f"global +x at heading 90 deg: wheels = {np.round(turned, 2)}"
+      " (body -y)")
+
+# Round-trip accuracy over random commands and headings.
 rng = np.random.default_rng(1)
 worst = 0.0
 for _ in range(1000):
     v = rng.uniform([-2, -2, -4], [2, 2, 4])
-    back = forward_kinematics(inverse_kinematics(BodyVelocity(*v)))
+    heading = rng.uniform(-math.pi, math.pi)
+    back = forward_kinematics(inverse_kinematics(BodyVelocity(*v), heading), heading)
     worst = max(worst, float(np.max(np.abs(back.as_array() - v))))
 print(f"worst round-trip error over 1000 random commands: {worst:.2e}")
 

@@ -2,12 +2,15 @@
 
 The robot body carries four omni wheels whose hubs sit on a circle of
 radius ``BODY_RADIUS``, mounted at fixed angular offsets around the body.
-Wheel angular rates relate linearly to the global body velocity, so the
-inverse map is a single matrix product.  The 4x3 wheel matrix has
-orthogonal columns, and the forward map is its least-squares solve: one
-product with a 3x4 left inverse, the transpose with each row divided by
-its squared norm.  The lab drives one chassis, so both matrices are
-read-only constants built at import, with no linear-algebra call.
+Wheel angular rates relate linearly to the velocity in the robot's own
+frame, (vx_b, vy_b) = R(theta)^T (vx, vy), so the inverse map rotates the
+global command by the heading, then applies the 4x3 wheel matrix.  That
+matrix has orthogonal columns, and the forward map is its least-squares
+solve: one product with a 3x4 left inverse, the transpose with each row
+divided by its squared norm, then the rotation back.  The lab drives one
+chassis, so both matrices are read-only constants built at import, with
+no linear-algebra call, and both products are written out column by
+column, so the rates do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -105,21 +108,38 @@ class BodyVelocity:
         return np.array([self.vx, self.vy, self.omega], dtype=float)
 
 
-def inverse_kinematics(velocity: BodyVelocity) -> np.ndarray:
-    """The four wheel rates, rad/s, realizing a commanded body velocity."""
-    return WHEEL_MATRIX @ velocity.as_array()
+def inverse_kinematics(velocity: BodyVelocity, heading: float) -> np.ndarray:
+    """The four wheel rates, rad/s, realizing a global-frame command.
+
+    The command's translation is rotated into the body frame of a robot
+    at ``heading`` rad; the yaw rate is the same in both frames.
+    """
+    c, s = math.cos(heading), math.sin(heading)
+    vx_b = c * velocity.vx + s * velocity.vy
+    vy_b = c * velocity.vy - s * velocity.vx
+    w = WHEEL_MATRIX
+    return w[:, 0] * vx_b + w[:, 1] * vy_b + w[:, 2] * velocity.omega
 
 
-def forward_kinematics(wheels: np.ndarray) -> BodyVelocity:
-    """Least-squares body velocity reproducing four measured wheel rates.
+def forward_kinematics(wheels: np.ndarray, heading: float) -> BodyVelocity:
+    """Least-squares global-frame velocity reproducing four wheel rates.
 
-    One product with the left inverse of :data:`WHEEL_MATRIX`.  The matrix
+    One product with the left inverse of :data:`WHEEL_MATRIX` gives the
+    body-frame velocity, which is rotated by ``heading``.  The matrix
     has full column rank, so the least-squares solution is unique; for
     consistent wheel rates it inverts :func:`inverse_kinematics` to
     rounding.  A rate vector that is not four long, or a non-finite rate,
     raises ``ValueError``.
     """
-    return BodyVelocity(*(WHEEL_LEFT_INVERSE @ wheels).tolist())
+    wheels = np.asarray(wheels, dtype=float)
+    if wheels.shape != (4,):
+        raise ValueError("forward kinematics needs four wheel rates")
+    w = WHEEL_LEFT_INVERSE
+    vx_b, vy_b, omega = (
+        w[:, 0] * wheels[0] + w[:, 1] * wheels[1] + w[:, 2] * wheels[2] + w[:, 3] * wheels[3]
+    ).tolist()
+    c, s = math.cos(heading), math.sin(heading)
+    return BodyVelocity(c * vx_b - s * vy_b, s * vx_b + c * vy_b, omega)
 
 
 def integrate_pose(pose: RobotPose, velocity: BodyVelocity, dt: float) -> RobotPose:

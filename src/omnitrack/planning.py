@@ -354,7 +354,12 @@ def _gl_arc(
     dx = (0.5 * (a + b) - base)[..., None] + half[..., None] * _GL_NODES
     vx = _horner(tangent[:, 0], dx)
     vy = _horner(tangent[:, 1], dx)
-    return half * (np.sqrt(vx * vx + vy * vy) @ _GL_WEIGHTS)
+    # The node speeds, formed in place: no more than three node arrays live.
+    vx *= vx
+    vy *= vy
+    vx += vy
+    np.sqrt(vx, out=vx)
+    return half * (vx @ _GL_WEIGHTS)
 
 
 def _arc_table(
@@ -434,13 +439,12 @@ def _invert_arc_length(
     span = spans[idx]
     base = curve._breaks[span]
     speed_coeffs = curve._tangent[:, :, span]
-    tangent = np.repeat(speed_coeffs[..., None], _GL_NODES.size, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on a zero-length interval
         t = lo + (hi - lo) * np.nan_to_num(local / (cumulative[idx + 1] - cumulative[idx]))
     dx = dx_old = hi - lo
     moving = np.ones(t.shape, dtype=bool)
     for _ in range(52):
-        f = _gl_arc(tangent, base, start, t) - local
+        f = _gl_arc(speed_coeffs[..., None], base, start, t) - local
         below = f < 0.0
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
@@ -564,9 +568,12 @@ def _needs_quotes(text: str) -> bool:
 def _csv_cells(column, lone: bool) -> list[str]:
     """A column's fields as CSV text: str() of each value, quoted where needed.
 
-    str() of a float is its shortest round-trip form.  A table of one
-    column writes an empty field as "", so its row is not a blank line.
+    A numpy column is converted to Python scalars first, and str() of a
+    float is its shortest round-trip form.  A table of one column writes
+    an empty field as "", so its row is not a blank line.
     """
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
     cells = list(map(str, column))
     if _needs_quotes("".join(cells)) or (lone and "" in cells):
         cells = [
@@ -579,11 +586,13 @@ def _csv_cells(column, lone: bool) -> list[str]:
 def write_csv(path, header, columns) -> None:
     """Write an ASCII CSV table given column by column.
 
-    Each column is a sequence whose values print with str(), and all
-    have the same length.  The text is what ``csv.writer`` writes for
-    the same rows with a line feed as its line terminator, and a field
-    holding a carriage return is quoted, as Python 3.13's writer does,
-    so that ``csv.reader`` does not end the row there.
+    Each column is a sequence whose values print with str(), or a 1-D
+    numpy array, and all have the same length.  An array becomes Python
+    scalars one block of ``CSV_BLOCK_ROWS`` rows at a time.  The text is
+    what ``csv.writer`` writes for the same rows with a line feed as its
+    line terminator, and a field holding a carriage return is quoted, as
+    Python 3.13's writer does, so that ``csv.reader`` does not end the
+    row there.
     """
     columns = list(columns)
     n_rows = len(columns[0]) if columns else 0
@@ -599,10 +608,12 @@ def write_csv(path, header, columns) -> None:
 
 def write_trajectory_csv(trajectory: ReferenceTrajectory, path) -> None:
     """Write the reference table; floats keep full round-trip precision."""
-    n = len(trajectory)
-    ts = trajectory.ts
-    table = np.column_stack([trajectory.poses, trajectory.v_ref, trajectory.omega_ref])
-    write_csv(path, TRAJECTORY_HEADER, [range(n), [k * ts for k in range(n)], *table.T.tolist()])
+    write_csv(
+        path,
+        TRAJECTORY_HEADER,
+        [range(len(trajectory)), trajectory.times, *trajectory.poses.T,
+         trajectory.v_ref, trajectory.omega_ref],
+    )
 
 
 def plan_reference(

@@ -1,9 +1,10 @@
 """Closed-loop simulation lab: episodes, noise, metrics, sweeps.
 
-The plant is ideal kinematics: each commanded body velocity is
-integrated for one step as it is, and the wheel rates that realize it
-are logged beside it.  Measurement noise, when enabled, corrupts only
-the pose fed to the controller; metrics are computed on the true pose.
+The plant is ideal kinematics: each commanded global-frame velocity is
+integrated for one step as it is, and the wheel rates that realize it at
+the step's starting heading are logged beside it.  Measurement noise,
+when enabled, corrupts only the pose fed to the controller; metrics are
+computed on the true pose.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def run_episode(episode: Episode) -> Episode:
 
     Record n holds the state at time n * ts, the command the plant
     integrates over the following step and the wheel rates that realize
-    it.  The same seed reproduces the run bit for bit.
+    it at the heading of record n.  The same seed reproduces the run bit
+    for bit.
     """
     traj = episode.trajectory
     n_steps = len(traj)
@@ -147,7 +149,7 @@ def run_episode(episode: Episode) -> Episode:
             solver[n] = (sol.cost, sol.iterations, sol.kkt_residual)
 
         command[n] = cmd.vx, cmd.vy, cmd.omega
-        wheels[n] = inverse_kinematics(cmd)
+        wheels[n] = inverse_kinematics(cmd, pose.theta)
 
         pose = integrate_pose(pose, cmd, traj.ts)
 
@@ -305,9 +307,8 @@ def write_run_csv(log: EpisodeLog, path) -> None:
     if log.solver is not None:
         blocks.append(log.solver)
         header = RUN_HEADER_SOLVER
-    n = len(log)
-    ts = log.ts
-    write_csv(path, header, [range(n), [k * ts for k in range(n)], *np.hstack(blocks).T.tolist()])
+    columns = [column for block in blocks for column in block.T]
+    write_csv(path, header, [range(len(log)), log.times, *columns])
 
 
 def write_metrics_csv(rows: list[dict], path, noise: bool = False) -> None:

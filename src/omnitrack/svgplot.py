@@ -24,11 +24,14 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     """Round tick positions covering [lo, hi].
 
     Ticks are counted by index, so a range a few ulps wide, where a tick
-    plus the step is the same tick, still gets a bounded list.
+    plus the step is the same tick, still gets a bounded list.  A range
+    so narrow that the step's power of ten underflows to 0 is ticked as
+    an empty one.
     """
-    if hi <= lo:
+    intervals = max(count - 1, 1)
+    if not (hi - lo) / intervals > 1e-323:  # 10.0 ** -324 == 0.0
         hi = lo + 1.0
-    raw = (hi - lo) / max(count - 1, 1)
+    raw = (hi - lo) / intervals
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

@@ -90,11 +90,11 @@ def test_criterion_1_kinematics_round_trip():
         worst = 0.0
         for _ in range(1000):
             v = rng.uniform([-2.0, -2.0, -4.0], [2.0, 2.0, 4.0])
-            wheels = inverse_kinematics(BodyVelocity(*v))
-            back = forward_kinematics(wheels).as_array()
+            wheels = inverse_kinematics(BodyVelocity(*v), 0.0)
+            back = forward_kinematics(wheels, 0.0).as_array()
             worst = max(worst, float(np.max(np.abs(back - v))))
         assert worst <= 1e-9
-        spin = inverse_kinematics(BodyVelocity(0.0, 0.0, 1.7))
+        spin = inverse_kinematics(BodyVelocity(0.0, 0.0, 1.7), 0.0)
         expected = BODY_RADIUS * 1.7 / WHEEL_RADIUS
         assert all(phi == expected for phi in spin)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omnitrack
@@ -621,8 +621,19 @@ def fuzzed_config(draw):
     return "\n".join(lines) + "\n", stray
 
 
+# A config valid but for its sample count: each value is valid alone, and
+# their quotient overflows a float.  Few drawn configs are valid enough to
+# reach the planner, so the fuzzer is handed this one.
+OVERFLOWING = (
+    "[experiment]\nmap = {map}\ngoal = 7,7\ntotal_time = 1e308\nts = 1e-320\n"
+    "controllers = fpid-t1\n[fpid-t1]\n"
+)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(drawn=fuzzed_config(), command=st.sampled_from(["plan", "track"]))
+@example(drawn=(OVERFLOWING, False), command="plan")
+@example(drawn=(OVERFLOWING, False), command="track")
 def test_fuzzed_configs_fail_cleanly(drawn, command):
     text, stray = drawn
     with tempfile.TemporaryDirectory() as tmp:

@@ -118,6 +118,18 @@ def test_rule_tables_match_audit_copy():
         assert np.array_equal([[LABELS.index(cell) for cell in row] for row in table], audit)
 
 
+def test_rule_tables_are_not_centrally_symmetric():
+    # A heading loop mirrors (e, de) -> (-e, -de) only if every gain cell
+    # equals its 180-degree rotation.  The classic tables index signed
+    # errors and break that in most cells, so fuzzy headings do not mirror
+    # (tests/test_simlab.py).
+    differing = [
+        sum(table[i][j] != table[6 - i][6 - j] for i in range(7) for j in range(7))
+        for table in (KP_RULES, KI_RULES, KD_RULES)
+    ]
+    assert differing == [40, 38, 36]
+
+
 # ----------------------------------------------------------- partitions
 
 

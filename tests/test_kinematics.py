@@ -83,25 +83,47 @@ def test_forward_inverse_round_trip_random():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         vel = BodyVelocity(*rng.uniform(-3.0, 3.0, size=3))
-        speeds = inverse_kinematics(vel)
-        back = forward_kinematics(speeds)
+        speeds = inverse_kinematics(vel, 0.0)
+        back = forward_kinematics(speeds, 0.0)
         assert back.vx == pytest.approx(vel.vx, abs=1e-9)
         assert back.vy == pytest.approx(vel.vy, abs=1e-9)
         assert back.omega == pytest.approx(vel.omega, abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    st.floats(-100.0, 100.0),
+)
+def test_round_trip_at_any_heading(velocity, heading):
+    vel = BodyVelocity(*velocity)
+    back = forward_kinematics(inverse_kinematics(vel, heading), heading)
+    assert back.as_array() == pytest.approx(vel.as_array(), rel=0.0, abs=1e-12)
+
+
+def test_wheel_rates_follow_the_body_frame():
+    # Facing +y, a global +x command is a move to the robot's right: body -y.
+    turned = inverse_kinematics(BodyVelocity(1.0, 0.0, 0.0), math.pi / 2.0)
+    sideways = inverse_kinematics(BodyVelocity(0.0, -1.0, 0.0), 0.0)
+    assert turned == pytest.approx(sideways, rel=0.0, abs=1e-14)
+    assert np.abs(turned - inverse_kinematics(BodyVelocity(1.0, 0.0, 0.0), 0.0)).max() > 1.0
+    back = forward_kinematics(sideways, math.pi / 2.0)
+    assert back.as_array() == pytest.approx([1.0, 0.0, 0.0], rel=0.0, abs=1e-15)
+
+
 def test_pure_rotation_wheel_speeds_exact():
     omega = 1.7
-    speeds = inverse_kinematics(BodyVelocity(0.0, 0.0, omega))
-    assert speeds.shape == (4,)
-    assert np.all(speeds == BODY_RADIUS * omega / WHEEL_RADIUS)
+    for heading in (0.0, 0.4, -math.pi):
+        speeds = inverse_kinematics(BodyVelocity(0.0, 0.0, omega), heading)
+        assert speeds.shape == (4,)
+        assert np.all(speeds == BODY_RADIUS * omega / WHEEL_RADIUS)
 
 
 def test_pure_translation_symmetry():
     # Driving along +x with the symmetric wheel layout: the two wheels
     # mounted at pi/4 and 3pi/4 turn together and oppose the pair at
     # 5pi/4 and 7pi/4.
-    phi = inverse_kinematics(BodyVelocity(1.0, 0.0, 0.0))
+    phi = inverse_kinematics(BodyVelocity(1.0, 0.0, 0.0), 0.0)
     assert phi[0] == pytest.approx(phi[1], abs=1e-12)
     assert phi[2] == pytest.approx(phi[3], abs=1e-12)
     assert phi[0] == pytest.approx(-phi[2], abs=1e-12)
@@ -134,16 +156,16 @@ def test_the_plant_wraps_the_heading_once(theta, omega, dt):
 
 def test_forward_kinematics_rejects_bad_rates():
     with pytest.raises(ValueError):
-        forward_kinematics(np.array([1.0, 2.0, 3.0]))  # needs four entries
+        forward_kinematics(np.array([1.0, 2.0, 3.0]), 0.0)  # needs four entries
     with pytest.raises(ValueError):
-        forward_kinematics(np.array([1.0, 2.0, 3.0, np.nan]))
+        forward_kinematics(np.array([1.0, 2.0, 3.0, np.nan]), 0.0)
 
 
 def test_forward_kinematics_least_squares_consistency():
     # The 4x3 map is a tall full-rank matrix; the reconstruction must be
     # its exact pseudo-inverse action on consistent wheel speeds.
     vel = np.array([0.4, -0.2, 1.1])
-    recovered = forward_kinematics(WHEEL_MATRIX @ vel)
+    recovered = forward_kinematics(WHEEL_MATRIX @ vel, 0.0)
     assert np.array([recovered.vx, recovered.vy, recovered.omega]) == pytest.approx(
         vel, abs=1e-12
     )
@@ -154,8 +176,11 @@ def test_forward_kinematics_least_squares_consistency():
 def test_forward_kinematics_matches_least_squares(rates):
     rates = np.array(rates)
     expected = np.linalg.lstsq(WHEEL_MATRIX, rates, rcond=None)[0]
-    got = forward_kinematics(rates).as_array()
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    got = forward_kinematics(rates, 0.0).as_array()
+    # Subnormal rates round on an absolute grid, so the bound has a floor
+    # of a few of its steps.
+    floor = 8 * np.finfo(float).smallest_subnormal
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max() + floor
 
 
 def test_wheel_matrices_are_read_only_constants():

@@ -1,6 +1,7 @@
 import csv
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,6 +618,35 @@ def test_bad_sampling_arguments():
         sample_reference(curve, 10.0, -0.1)
 
 
+def traced_peak(fn, *args):
+    """fn's result and the most bytes it held at once, as tracemalloc saw them."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_sampling_and_writing_a_reference_hold_no_tenfold_copies(tmp_path):
+    # The Newton passes of the arc-length inversion need three (rows, 10)
+    # arrays of quadrature nodes, and the trajectory writer one block of
+    # text: about 0.44 and 0.07 KiB a row at 4001 rows.  Tangent
+    # coefficients repeated over the ten nodes, four node temporaries and
+    # a whole-table list of floats took 1.05 and 0.29 KiB a row.
+    grid = load_grid(standard_map_path())
+    curve = smooth(astar(grid, (0, 0), (19, 19)), grid)
+    traj, sampled = traced_peak(sample_reference, curve, 40.0, 0.01)
+    _, written = traced_peak(write_trajectory_csv, traj, tmp_path / "traj.csv")
+    assert len(traj) == 4001
+    assert sampled / len(traj) <= 0.6 * 1024
+    assert written / len(traj) <= 0.15 * 1024
+
+
 # ------------------------------------------------------------------ csv
 
 
@@ -811,6 +841,24 @@ def test_write_csv_matches_csv_writer_on_random_tables(tmp_path_factory, rows):
     )
     write_csv(tmp_path / "cr.csv", header, zip(*rows))
     assert read_rows(tmp_path / "cr.csv") == [header, *([str(c) for c in r] for r in rows)]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2 * CSV_BLOCK_ROWS + 3).flatmap(
+        lambda n: st.tuples(arrays(np.int64, n), arrays(np.float64, (n, 3)))
+    )
+)
+def test_write_csv_of_arrays_matches_their_lists(tmp_path_factory, table):
+    # Array columns, strided views among them, become Python scalars block
+    # by block; the bytes are those of the whole columns' lists.
+    ints, floats = table
+    columns = [ints, *floats.T]
+    header = ["n", "a", "b", "c"]
+    tmp_path = tmp_path_factory.mktemp("arrays")
+    write_csv(tmp_path / "arrays.csv", header, columns)
+    write_csv(tmp_path / "lists.csv", header, [c.tolist() for c in columns])
+    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):

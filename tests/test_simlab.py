@@ -110,7 +110,8 @@ def test_log_layout_and_initial_row():
 def test_plant_integrates_exactly_what_was_commanded():
     # The plant is the command: each logged pose is, bit for bit, the
     # Euler step of the previous one under the logged command, and the
-    # logged wheel rates are that command's inverse map.
+    # logged wheel rates are that command's inverse map at the step's
+    # starting heading.
     traj = circle_trajectory(n=50)
     for controller in ("fpid-t1", "fpid-it2", "nmpc"):
         for noise in (None, NoiseModel()):
@@ -120,7 +121,8 @@ def test_plant_integrates_exactly_what_was_commanded():
                 cmd = BodyVelocity(*log.command[n])
                 stepped = integrate_pose(RobotPose(*log.true_pose[n]), cmd, traj.ts)
                 assert np.array_equal(log.true_pose[n + 1], stepped.as_array())
-                assert np.array_equal(log.wheels[n], inverse_kinematics(cmd))
+                heading = log.true_pose[n, 2]
+                assert np.array_equal(log.wheels[n], inverse_kinematics(cmd, heading))
 
 
 def test_noise_touches_only_the_measurement_path():
@@ -190,6 +192,40 @@ def test_closed_loop_commutes_with_rigid_motions(controller, angle, offset):
     ma, mb = tracking_metrics(a), tracking_metrics(b)
     assert mb.me_xy == pytest.approx(ma.me_xy, rel=1e-9)
     assert mb.mae_theta == pytest.approx(ma.mae_theta, rel=1e-9)
+
+
+MIRROR = [1.0, -1.0, -1.0]  # y -> -y, theta -> -theta
+
+
+def mirror_image_runs(controller):
+    """Logs of the circle and of its reflection in the x axis, each run
+    from its own reflection of the start."""
+    mirror_ref = replace(_CIRCLE, poses=_CIRCLE.poses * MIRROR, omega_ref=-_CIRCLE.omega_ref)
+    start = RobotPose(*(_START.as_array() * MIRROR))
+    a = run_episode(Episode(trajectory=_CIRCLE, controller=controller, initial_pose=_START))
+    b = run_episode(Episode(trajectory=mirror_ref, controller=controller, initial_pose=start))
+    return a.log, b.log
+
+
+@pytest.mark.parametrize("controller", ["fpid-t1", "fpid-it2"])
+def test_fuzzy_paths_mirror_bit_for_bit_but_headings_do_not(controller):
+    # The fuzzy PIDs steer translation by distance and bearing alone, so
+    # the reflected run's path is the reflected path.  Its headings are
+    # not: the gain tables are not centrally symmetric (tests/test_fuzzy.py).
+    a, b = mirror_image_runs(controller)
+    assert np.array_equal(b.true_pose[:, 0], a.true_pose[:, 0])
+    assert np.array_equal(b.true_pose[:, 1], -a.true_pose[:, 1])
+    gap = np.abs(wrap_angle(b.true_pose[:, 2] + a.true_pose[:, 2])).max()
+    assert gap == pytest.approx({"fpid-t1": 0.1275, "fpid-it2": 0.0681}[controller], abs=1e-4)
+
+
+def test_nmpc_mirrors_to_rounding():
+    # NMPC's cost is mirror-symmetric, but not bit for bit: wrap_angle(-a)
+    # can differ from -wrap_angle(a) by an ulp (a = 0.06), so the
+    # reflected reference already does.
+    a, b = mirror_image_runs("nmpc")
+    assert np.abs(b.true_pose[:, :2] * MIRROR[:2] - a.true_pose[:, :2]).max() <= 1e-12
+    assert np.abs(wrap_angle(b.true_pose[:, 2] + a.true_pose[:, 2])).max() <= 1e-12
 
 
 def test_noise_free_episode_does_not_import_numpy_random(fresh_python):

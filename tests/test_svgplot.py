@@ -1,0 +1,14 @@
+from omnitrack.svgplot import _ticks, line_chart
+
+
+def test_a_range_whose_tick_step_underflows_is_ticked_as_empty():
+    # 5e-324 / 5 rounds to 0, whose logarithm does not exist.
+    assert _ticks(0.0, 5e-324) == _ticks(0.0, 0.0)
+    assert _ticks(0.0, 2e-323) == _ticks(0.0, 0.0)
+
+
+def test_line_chart_of_a_subnormal_range_is_written(tmp_path):
+    path = tmp_path / "tiny.svg"
+    line_chart(path, [("tiny", [0.0, 1.0], [0.0, 5e-324])])
+    text = path.read_text(encoding="ascii")
+    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
