@@ -1,11 +1,14 @@
 """Self-tuning fuzzy PID trajectory tracking.
 
-Two independent PID loops chase the reference: a distance loop turns the
-range to the target pose into a speed command and a heading loop turns
-the heading error into a yaw rate.  Each loop's gains are nudged every
-step by a fuzzy engine fed the normalized error and error rate, then
-clamped to [0, k_max].  The speed command is emitted along the line of
-sight to the target, in the global frame.
+Two independent PID loops chase the reference pose of the current step:
+a distance loop turns the range to that target into a speed command and
+a heading loop turns the heading error into a yaw rate.  Each loop's
+gains are nudged every step by a fuzzy engine fed the normalized error
+and error rate, then clamped to [0, k_max].  The speed command is
+emitted along the line of sight to the target, in the global frame.
+The controller is called as the predictive one is, with the measured
+pose, the reference trajectory and the step index, and steps by the
+trajectory's sample time.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 
 from omnitrack.fuzzy import GainDeltas, Type1Engine, check_footprint
 from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
+from omnitrack.planning import ReferenceTrajectory
 
 # Each loop's error range, the error rate's extra divisor, and the range
 # to the target inside which the speed command is zero.
@@ -170,16 +174,25 @@ class FuzzyPidController:
             cfg.head_kp, cfg.head_ki, cfg.head_kd, cfg.k_max, cfg.i_max
         )
 
-    def command(self, robot: RobotPose, target: RobotPose, dt: float) -> BodyVelocity:
-        """Velocity command driving the robot toward the target pose.
+    def command(
+        self, robot: RobotPose, trajectory: ReferenceTrajectory, k: int
+    ) -> BodyVelocity:
+        """Velocity command driving the robot toward reference pose k.
 
-        The speed follows the line of sight to the target in the global
+        Takes the arguments of ``NmpcController.command``: the target is
+        row k of the trajectory and each loop steps by its sample time.
+        A step k outside [0, len(trajectory)) raises ``IndexError``.  The
+        speed follows the line of sight to the target in the global
         frame, the frame the plant integrates, whatever the robot's
         heading; inside DISTANCE_THRESHOLD there is no line of sight to
         follow and the speed is zero.
         """
+        n = len(trajectory)
+        if not 0 <= k < n:
+            raise IndexError(f"step {k} outside trajectory of length {n}")
         cfg = self.config
-        err = compute_errors(robot, target)
+        dt = trajectory.ts
+        err = compute_errors(robot, RobotPose(*trajectory.poses[k]))
         v = fpid_step(self.distance, self.engine, err.dr, dt, DISTANCE_NORM)
         omega = fpid_step(self.heading, self.engine, err.e_theta, dt, HEADING_NORM)
         omega = min(max(omega, -cfg.omega_max), cfg.omega_max)

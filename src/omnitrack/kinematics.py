@@ -9,8 +9,9 @@ matrix has orthogonal columns, and the forward map is its least-squares
 solve: one product with a 3x4 left inverse, the transpose with each row
 divided by its squared norm, then the rotation back.  The lab drives one
 chassis, so both matrices are read-only constants built at import, with
-no linear-algebra call, and both products are written out column by
-column, so the rates do not depend on the BLAS kernel.
+no linear-algebra call.  The inverse map's product is written out row by
+row in float arithmetic and the forward map's column by column, so the
+rates do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def _wheel_matrices() -> tuple[np.ndarray, np.ndarray]:
 
 # Maps (vx, vy, omega) to wheel rates, and back by least squares.
 WHEEL_MATRIX, WHEEL_LEFT_INVERSE = _wheel_matrices()
+# The wheel matrix's rows as Python floats, for inverse_kinematics.
+_WHEEL_ROWS = tuple(map(tuple, WHEEL_MATRIX.tolist()))
 
 
 def wrap_angle(angle):
@@ -117,8 +120,8 @@ def inverse_kinematics(velocity: BodyVelocity, heading: float) -> np.ndarray:
     c, s = math.cos(heading), math.sin(heading)
     vx_b = c * velocity.vx + s * velocity.vy
     vy_b = c * velocity.vy - s * velocity.vx
-    w = WHEEL_MATRIX
-    return w[:, 0] * vx_b + w[:, 1] * vy_b + w[:, 2] * velocity.omega
+    omega = velocity.omega
+    return np.array([a * vx_b + b * vy_b + r * omega for a, b, r in _WHEEL_ROWS])
 
 
 def forward_kinematics(wheels: np.ndarray, heading: float) -> BodyVelocity:

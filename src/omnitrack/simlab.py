@@ -116,8 +116,10 @@ def run_episode(episode: Episode) -> Episode:
 
     Record n holds the state at time n * ts, the command the plant
     integrates over the following step and the wheel rates that realize
-    it at the heading of record n.  The same seed reproduces the run bit
-    for bit.
+    it at the heading of record n.  Every controller is called the same
+    way, as ``command(measured, trajectory, n)``; an ``nmpc`` episode also
+    logs its ``last_solution`` in the solver columns.  The same seed
+    reproduces the run bit for bit.
     """
     traj = episode.trajectory
     n_steps = len(traj)
@@ -141,10 +143,8 @@ def run_episode(episode: Episode) -> Episode:
             noise = episode.noise.sample(n, traj.ts, rng)
             meas = RobotPose(pose.x + noise[0], pose.y + noise[1], pose.theta + noise[2])
             measured[n] = meas.x, meas.y, meas.theta
-        if solver is None:
-            cmd = ctrl.command(meas, RobotPose(*traj.poses[n]), traj.ts)
-        else:
-            cmd = ctrl.command(meas, traj, n)
+        cmd = ctrl.command(meas, traj, n)
+        if solver is not None:
             sol = ctrl.last_solution
             solver[n] = (sol.cost, sol.iterations, sol.kkt_residual)
 

@@ -24,9 +24,11 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     """Round tick positions covering [lo, hi].
 
     Ticks are counted by index, so a range a few ulps wide, where a tick
-    plus the step is the same tick, still gets a bounded list.  A range
-    so narrow that the step's power of ten underflows to 0 is ticked as
-    an empty one.
+    plus the step is the same tick, still gets a bounded list.  Ticks
+    are rounded to 12 decimals and each is returned once, so a range too
+    narrow to split at that resolution gets a single tick.  A range so
+    narrow that the step's power of ten underflows to 0 is ticked as an
+    empty one.
     """
     intervals = max(count - 1, 1)
     if not (hi - lo) / intervals > 1e-323:  # 10.0 ** -324 == 0.0
@@ -38,7 +40,9 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
         if step >= raw:
             break
     last = math.floor(hi / step + 1e-12)
-    return [round(k * step, 12) for k in range(math.ceil(lo / step), last + 1)]
+    # + 0.0 makes a tick that rounds to -0.0 the same tick as 0.0.
+    ticks = (round(k * step, 12) + 0.0 for k in range(math.ceil(lo / step), last + 1))
+    return list(dict.fromkeys(ticks))
 
 
 class _Canvas:

@@ -21,6 +21,7 @@ from omnitrack.fpid import (
 )
 from omnitrack.fuzzy import GainDeltas, Type1Engine, Type2Engine
 from omnitrack.kinematics import RobotPose, wrap_angle
+from omnitrack.planning import ReferenceTrajectory
 from omnitrack.simlab import _controller
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -39,6 +40,11 @@ class ConstantEngine:
 
     def infer(self, e, de):
         return self.out
+
+
+def one_target(target: RobotPose) -> ReferenceTrajectory:
+    """A two-row 0.1 s trajectory holding one target pose, read at step 0."""
+    return ReferenceTrajectory(0.1, np.tile(target.as_array(), (2, 1)), np.zeros(2), np.zeros(2))
 
 
 # ---------------------------------------------------------------- errors
@@ -66,10 +72,10 @@ def test_first_translation_does_not_depend_on_the_heading():
     rng = np.random.default_rng(21)
     for _ in range(20):
         x, y = rng.uniform(-2.0, 2.0, 2)
-        target = RobotPose(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-3.0, 3.0))
+        target = one_target(RobotPose(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-3.0, 3.0)))
         first = None
         for theta in np.linspace(-math.pi, math.pi, 30):
-            cmd = FuzzyPidController().command(RobotPose(x, y, theta), target, 0.1)
+            cmd = FuzzyPidController().command(RobotPose(x, y, theta), target, 0)
             if first is None:
                 first = bits(cmd.vx, cmd.vy)
             assert bits(cmd.vx, cmd.vy) == first, theta
@@ -145,7 +151,7 @@ def test_engine_sees_normalized_inputs():
 
 def test_command_drives_toward_target():
     ctrl = FuzzyPidController(FpidConfig())
-    cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), RobotPose(1.0, 0.0, 0.0), 0.1)
+    cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), one_target(RobotPose(1.0, 0.0, 0.0)), 0)
     assert cmd.vx > 0.1
     assert cmd.vy == pytest.approx(0.0, abs=1e-12)
 
@@ -153,7 +159,7 @@ def test_command_drives_toward_target():
 def test_command_velocity_saturates():
     cfg = FpidConfig(v_max=1.5, omega_max=3.14)
     ctrl = FuzzyPidController(cfg)
-    cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), RobotPose(50.0, 0.0, math.pi), 0.1)
+    cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), one_target(RobotPose(50.0, 0.0, math.pi)), 0)
     speed = math.hypot(cmd.vx, cmd.vy)
     assert speed == pytest.approx(1.5, abs=1e-9)
     assert abs(cmd.omega) <= 3.14 + 1e-12
@@ -161,11 +167,11 @@ def test_command_velocity_saturates():
 
 def test_command_stops_inside_deadband():
     ctrl = FuzzyPidController(FpidConfig())
-    cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), RobotPose(0.004, 0.003, 0.0), 0.1)
+    cmd = ctrl.command(RobotPose(0.0, 0.0, 0.0), one_target(RobotPose(0.004, 0.003, 0.0)), 0)
     assert cmd.vx == 0.0 and cmd.vy == 0.0
     # A robot on the target has no line of sight either.
     ctrl = FuzzyPidController(FpidConfig())
-    cmd = ctrl.command(RobotPose(0.3, 0.2, 1.0), RobotPose(0.3, 0.2, 0.0), 0.1)
+    cmd = ctrl.command(RobotPose(0.3, 0.2, 1.0), one_target(RobotPose(0.3, 0.2, 0.0)), 0)
     assert cmd.vx == 0.0 and cmd.vy == 0.0
 
 
@@ -173,7 +179,8 @@ def test_body_frame_accounts_for_heading():
     # Robot heading +pi/2, target straight ahead of the BODY x-axis: the
     # command must point along +y in the global frame.
     ctrl = FuzzyPidController(FpidConfig())
-    cmd = ctrl.command(RobotPose(0.0, 0.0, math.pi / 2), RobotPose(0.0, 2.0, math.pi / 2), 0.1)
+    target = one_target(RobotPose(0.0, 2.0, math.pi / 2))
+    cmd = ctrl.command(RobotPose(0.0, 0.0, math.pi / 2), target, 0)
     assert cmd.vy > 0.1
     assert cmd.vx == pytest.approx(0.0, abs=1e-9)
 
@@ -183,9 +190,9 @@ def test_zero_engine_reduces_to_fixed_pid():
     fuzzy_ctrl = FuzzyPidController(cfg)
     fixed_ctrl = FuzzyPidController(cfg, engine=ZeroEngine())
     robot = RobotPose(0.0, 0.0, 0.0)
-    target = RobotPose(1.0, 1.0, 1.0)
-    a = fuzzy_ctrl.command(robot, target, 0.1)
-    b = fixed_ctrl.command(robot, target, 0.1)
+    target = one_target(RobotPose(1.0, 1.0, 1.0))
+    a = fuzzy_ctrl.command(robot, target, 0)
+    b = fixed_ctrl.command(robot, target, 0)
     # Same structure, but the fuzzy adaptation changed the applied gains.
     assert (a.vx, a.vy, a.omega) != (b.vx, b.vy, b.omega)
     assert fixed_ctrl.distance.kp == cfg.dist_kp  # untouched gains
@@ -198,9 +205,9 @@ def test_type1_and_degenerate_type2_controllers_agree():
     robot = RobotPose(0.0, 0.0, 0.0)
     rng = np.random.default_rng(9)
     for _ in range(25):
-        target = RobotPose(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-3.0, 3.0))
-        a = t1.command(robot, target, 0.1)
-        b = t2.command(robot, target, 0.1)
+        target = one_target(RobotPose(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-3.0, 3.0)))
+        a = t1.command(robot, target, 0)
+        b = t2.command(robot, target, 0)
         assert a.vx == pytest.approx(b.vx, abs=1e-7)
         assert a.vy == pytest.approx(b.vy, abs=1e-7)
         assert a.omega == pytest.approx(b.omega, abs=1e-7)
@@ -272,9 +279,10 @@ def test_closed_loop_settles_into_tracking_band():
     target = RobotPose(0.8, -0.5, 1.2)
     distance = math.hypot(target.x, target.y)
     band = 0.1 * distance
+    reference = one_target(target)
     history = []
     for _ in range(100):
-        cmd = ctrl.command(pose, target, 0.1)
+        cmd = ctrl.command(pose, reference, 0)
         pose = integrate_pose(pose, cmd, 0.1)
         history.append(
             (

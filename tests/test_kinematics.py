@@ -101,6 +101,31 @@ def test_round_trip_at_any_heading(velocity, heading):
     assert back.as_array() == pytest.approx(vel.as_array(), rel=0.0, abs=1e-12)
 
 
+def column_form(velocity: BodyVelocity, heading: float) -> np.ndarray:
+    """The wheel rates as whole-column products (the oracle of the per-row form)."""
+    c, s = math.cos(heading), math.sin(heading)
+    vx_b = c * velocity.vx + s * velocity.vy
+    vy_b = c * velocity.vy - s * velocity.vx
+    w = WHEEL_MATRIX
+    return w[:, 0] * vx_b + w[:, 1] * vy_b + w[:, 2] * velocity.omega
+
+
+SPEEDS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e6, 1e6).map(np.float64),  # NMPC's commands are numpy floats
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(SPEEDS, SPEEDS, SPEEDS, ANGLES)
+def test_wheel_rates_match_the_column_form_bit_for_bit(vx, vy, omega, heading):
+    vel = BodyVelocity(vx, vy, omega)
+    rates = inverse_kinematics(vel, heading)
+    assert rates.dtype == np.float64 and rates.shape == (4,)
+    assert rates.tobytes() == column_form(vel, heading).tobytes()
+
+
 def test_wheel_rates_follow_the_body_frame():
     # Facing +y, a global +x command is a move to the robot's right: body -y.
     turned = inverse_kinematics(BodyVelocity(1.0, 0.0, 0.0), math.pi / 2.0)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omnitrack.fpid import FpidConfig
+from omnitrack.fpid import FpidConfig, FuzzyPidController
 from omnitrack.kinematics import (
     BodyVelocity,
     RobotPose,
@@ -15,7 +16,7 @@ from omnitrack.kinematics import (
     inverse_kinematics,
     wrap_angle,
 )
-from omnitrack.nmpc import OcpConfig
+from omnitrack.nmpc import NmpcController, OcpConfig
 from omnitrack.planning import ReferenceTrajectory
 from omnitrack.simlab import (
     RUN_HEADER_BASE,
@@ -23,6 +24,7 @@ from omnitrack.simlab import (
     Episode,
     EpisodeLog,
     NoiseModel,
+    _controller,
     horizon_sweep,
     run_episode,
     run_step_response,
@@ -123,6 +125,38 @@ def test_plant_integrates_exactly_what_was_commanded():
                 assert np.array_equal(log.true_pose[n + 1], stepped.as_array())
                 heading = log.true_pose[n, 2]
                 assert np.array_equal(log.wheels[n], inverse_kinematics(cmd, heading))
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel()])
+@pytest.mark.parametrize("controller", ["fpid-t1", "fpid-it2", "nmpc"])
+def test_every_controller_is_called_the_same_way(monkeypatch, controller, noise):
+    calls = []
+    for cls in (FuzzyPidController, NmpcController):
+
+        def spy(self, robot, trajectory, k, command=cls.command):
+            calls.append((robot, trajectory, k))
+            return command(self, robot, trajectory, k)
+
+        monkeypatch.setattr(cls, "command", spy)
+    traj = circle_trajectory(n=30)
+    log = run_episode(Episode(traj, controller, noise=noise, seed=3)).log
+    assert [k for _, _, k in calls] == list(range(len(traj)))
+    assert all(trajectory is traj for _, trajectory, _ in calls)
+    fed = np.array([(robot.x, robot.y, robot.theta) for robot, _, _ in calls])
+    assert np.array_equal(fed, log.measured)
+
+
+def test_both_controllers_take_the_same_parameters():
+    fpid, nmpc = (inspect.signature(cls.command) for cls in (FuzzyPidController, NmpcController))
+    assert list(fpid.parameters) == list(nmpc.parameters) == ["self", "robot", "trajectory", "k"]
+
+
+@pytest.mark.parametrize("k", [-1, -30, 30, 31])
+@pytest.mark.parametrize("controller", ["fpid-t1", "fpid-it2", "nmpc"])
+def test_a_step_outside_the_trajectory_is_refused(controller, k):
+    # A negative step would otherwise read from the end of the reference.
+    with pytest.raises(IndexError, match=f"step {k} outside trajectory of length 30"):
+        _controller(controller).command(RobotPose(0.0, 0.0, 0.0), circle_trajectory(n=30), k)
 
 
 def test_noise_touches_only_the_measurement_path():
