@@ -48,6 +48,7 @@ from omnitrack.fuzzy import (
 )
 from omnitrack.fpid import (
     FpidConfig,
+    FpidIt2Config,
     FuzzyPidController,
     PidState,
     TrackError,
@@ -101,6 +102,7 @@ __all__ = [
     "Type2Engine",
     "km_centroid",
     "FpidConfig",
+    "FpidIt2Config",
     "FuzzyPidController",
     "PidState",
     "TrackError",

@@ -27,8 +27,10 @@ checked, listed or not.  Any other section, ``[DEFAULT]`` included, is
 an error.
 Every section is read into a dataclass, each key parsed by its field's
 declared type; values are literal, with no ``%`` interpolation.  The
-section name alone picks the controller and its fuzzy engine; the
-sample time is ``[experiment] ts``, never a controller key.
+section name picks the config class and the class picks the controller
+and its fuzzy engine: only ``[fpid-it2]`` takes the type-2 footprint
+keys ``fou_height_scale`` and ``fou_lag``.  The sample time is
+``[experiment] ts``, never a controller key.
 ``map = standard`` selects the bundled map.
 """
 

@@ -17,7 +17,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from omnitrack.fuzzy import GainDeltas, Type1Engine, check_footprint
+from omnitrack.fuzzy import GainDeltas, Type1Engine, Type2Engine, check_footprint
 from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
 from omnitrack.planning import ReferenceTrajectory
 
@@ -121,7 +121,8 @@ def fpid_step(
 
 @dataclass
 class FpidConfig:
-    """Tuning knobs of the two-loop controller (see README for the file form)."""
+    """Tuning knobs of the two-loop controller: the ``[fpid-t1]`` keys,
+    which run the type-1 engine (see README for the file form)."""
 
     dist_kp: float = 1.0
     dist_ki: float = 0.0
@@ -133,8 +134,6 @@ class FpidConfig:
     i_max: float = 1.0
     v_max: float = 1.5
     omega_max: float = 3.14
-    fou_height_scale: float = 1.0
-    fou_lag: float = 0.3
 
     def __post_init__(self):
         if not self.v_max > 0.0 or not self.omega_max > 0.0:
@@ -145,6 +144,20 @@ class FpidConfig:
         for name in gains:
             if not 0.0 <= getattr(self, name) <= self.k_max:
                 raise ValueError(f"{name} must lie in [0, k_max]")
+
+
+@dataclass
+class FpidIt2Config(FpidConfig):
+    """The ``[fpid-it2]`` keys: the shared knobs plus the type-2 footprint.
+
+    A controller built from one runs a ``Type2Engine`` of this footprint.
+    """
+
+    fou_height_scale: float = 1.0
+    fou_lag: float = 0.3
+
+    def __post_init__(self):
+        super().__post_init__()
         try:
             check_footprint(self.fou_height_scale, self.fou_lag)
         except ValueError as err:
@@ -155,8 +168,10 @@ class FuzzyPidController:
     """Two-loop self-tuning fuzzy PID tracker.
 
     Holds mutable loop state across steps; one instance per episode.
-    The engine is type-1 unless one is injected (a type-2 engine, or a
-    stub that returns zero increments, which reduces it to fixed-gain PID).
+    The config's class picks the engine: an ``FpidIt2Config`` builds a
+    ``Type2Engine`` of its footprint and any other config a
+    ``Type1Engine``.  An injected engine replaces it (a stub that returns
+    zero increments reduces the controller to fixed-gain PID).
     An injected engine must be a pure function of its (e, de) input: each
     loop calls ``engine.infer`` only when its input changes and reuses the
     last increments while it repeats, so an engine that keeps state (one
@@ -165,8 +180,13 @@ class FuzzyPidController:
 
     def __init__(self, config: FpidConfig | None = None, engine=None):
         self.config = config if config is not None else FpidConfig()
-        self.engine = engine if engine is not None else Type1Engine()
         cfg = self.config
+        if engine is not None:
+            self.engine = engine
+        elif isinstance(cfg, FpidIt2Config):
+            self.engine = Type2Engine(height_scale=cfg.fou_height_scale, lag=cfg.fou_lag)
+        else:
+            self.engine = Type1Engine()
         self.distance = PidState(
             cfg.dist_kp, cfg.dist_ki, cfg.dist_kd, cfg.k_max, cfg.i_max
         )

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from omnitrack.fpid import FpidConfig, FuzzyPidController
-from omnitrack.fuzzy import Type2Engine
+from omnitrack.fpid import FpidConfig, FpidIt2Config, FuzzyPidController
 from omnitrack.kinematics import (
     RobotPose,
     forward_kinematics,  # not called here; perfbench/tracer.py patches this name
@@ -27,7 +26,7 @@ from omnitrack.nmpc import NmpcController, OcpConfig
 from omnitrack.planning import ReferenceTrajectory, sample_count, write_csv
 
 # Each controller id and the config class it is tuned by.
-CONTROLLER_IDS = {"fpid-t1": FpidConfig, "fpid-it2": FpidConfig, "nmpc": OcpConfig}
+CONTROLLER_IDS = {"fpid-t1": FpidConfig, "fpid-it2": FpidIt2Config, "nmpc": OcpConfig}
 
 RUN_HEADER_BASE = [
     "n", "t",
@@ -93,21 +92,32 @@ class Episode:
     log: EpisodeLog | None = field(default=None, init=False)
 
     def __post_init__(self):
-        cls = CONTROLLER_IDS.get(self.controller)
-        if cls is None:
-            raise ValueError(f"unknown controller '{self.controller}'")
-        if not isinstance(self.controller_config, (cls, type(None))):
-            raise ValueError(f"controller '{self.controller}' takes an {cls.__name__}")
+        _config_class(self.controller, self.controller_config)
+
+
+def _config_class(controller: str, config):
+    """The id's config class; raises unless config is None or exactly of it.
+
+    An ``FpidIt2Config`` is also an ``FpidConfig``, and the config's class
+    picks the engine, so a subclass check would let ``fpid-t1`` run type-2.
+    """
+    cls = CONTROLLER_IDS.get(controller)
+    if cls is None:
+        raise ValueError(f"unknown controller '{controller}'")
+    if config is not None and type(config) is not cls:
+        raise ValueError(f"controller '{controller}' takes an {cls.__name__}")
+    return cls
 
 
 def _controller(controller: str, config=None):
-    """The controller an id names, tuned by config (the defaults when None)."""
-    cfg = config if config is not None else CONTROLLER_IDS[controller]()
+    """The controller an id names, tuned by config (the defaults when None).
+
+    The config's class picks a fuzzy PID's engine.
+    """
+    cls = _config_class(controller, config)
+    cfg = config if config is not None else cls()
     if controller == "nmpc":
         return NmpcController(cfg)
-    if controller == "fpid-it2":
-        engine = Type2Engine(height_scale=cfg.fou_height_scale, lag=cfg.fou_lag)
-        return FuzzyPidController(cfg, engine)
     return FuzzyPidController(cfg)
 
 

@@ -45,6 +45,16 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return list(dict.fromkeys(ticks))
 
 
+def _axis_ticks(lo: float, hi: float) -> list[float]:
+    """The round ticks inside [lo, hi], or its midpoint when none is.
+
+    A range between two 12-decimal ticks holds no round tick, and an
+    axis draws at least one.
+    """
+    inside = [tick for tick in _ticks(lo, hi) if lo <= tick <= hi]
+    return inside or [0.5 * lo + 0.5 * hi]
+
+
 class _Canvas:
     def __init__(self, title: str):
         self.parts = [
@@ -98,9 +108,7 @@ class _Frame:
             f'<rect x="{self.left}" y="{self.top}" width="{self.right - self.left}" '
             f'height="{self.bottom - self.top}" fill="none" stroke="#444"/>'
         ]
-        for tick in _ticks(self.x0, self.x1):
-            if not self.x0 <= tick <= self.x1:
-                continue
+        for tick in _axis_ticks(self.x0, self.x1):
             x = self.px(tick)
             parts.append(
                 f'<line x1="{_fmt(x)}" y1="{self.bottom}" x2="{_fmt(x)}" '
@@ -110,9 +118,7 @@ class _Frame:
                 f'<text x="{_fmt(x)}" y="{self.bottom + 17}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11">{tick:g}</text>'
             )
-        for tick in _ticks(self.y0, self.y1):
-            if not self.y0 <= tick <= self.y1:
-                continue
+        for tick in _axis_ticks(self.y0, self.y1):
             y = self.py(tick)
             parts.append(
                 f'<line x1="{self.left - 4}" y1="{_fmt(y)}" x2="{self.left}" '
@@ -200,8 +206,9 @@ def bar_chart(path, categories, series, title="", xlabel="", ylabel=""):
     canvas = _Canvas(title)
     canvas.add(frame.axes_svg(xlabel, ylabel))
     slot = 1.0 / (n_series + 1)
+    colors = [PALETTE[i % len(PALETTE)] for i in range(n_series)]
     for i, (label, vals) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
+        color = colors[i]
         for j, value in enumerate(vals):
             x0 = frame.px(j + slot * (i + 0.5))
             x1 = frame.px(j + slot * (i + 1.5))
@@ -215,7 +222,7 @@ def bar_chart(path, categories, series, title="", xlabel="", ylabel=""):
             f'<text x="{_fmt(frame.px(j + 0.5))}" y="{frame.bottom + 17}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11">{name}</text>'
         )
-    canvas.add(frame.legend_svg([s[0] for s in series], list(PALETTE)))
+    canvas.add(frame.legend_svg([s[0] for s in series], colors))
     canvas.write(path)
 
 

@@ -24,7 +24,7 @@ from omnitrack.cli import (
     main,
     standard_map_path,
 )
-from omnitrack.fpid import FpidConfig
+from omnitrack.fpid import FpidConfig, FpidIt2Config
 from omnitrack.nmpc import OcpConfig
 from omnitrack.simlab import CONTROLLER_IDS, EpisodeLog, tracking_metrics
 
@@ -417,7 +417,7 @@ def test_bundled_configs_load(path):
     config = load_config(path, need_controllers=False)
     assert config.controller_configs
     for cid, controller_config in config.controller_configs.items():
-        assert isinstance(controller_config, CONTROLLER_IDS[cid]), cid
+        assert type(controller_config) is CONTROLLER_IDS[cid], cid
 
 
 def ini_value(value):
@@ -460,8 +460,26 @@ def test_the_readme_config_example_loads(tmp_path):
     assert sorted(config.controller_configs) == sorted(CONTROLLER_IDS)
 
 
-# The README config table's section column, and the class each one fills.
-README_SECTIONS = {"[experiment]": ExperimentConfig, "[fpid-*]": FpidConfig, "[nmpc]": OcpConfig}
+# The README config table's section column, and the class whose own keys
+# each lists: [fpid-*] rows hold the keys both fuzzy PIDs share, and
+# [fpid-it2] rows the footprint keys the type-2 class adds.
+README_SECTIONS = {
+    "[experiment]": ExperimentConfig,
+    "[fpid-*]": FpidConfig,
+    "[fpid-it2]": FpidIt2Config,
+    "[nmpc]": OcpConfig,
+}
+
+
+def declared_keys(cls):
+    """The INI keys cls declares itself, not those it inherits."""
+    inherited = {
+        f.name
+        for base in cls.__bases__
+        if dataclasses.is_dataclass(base)
+        for f in dataclasses.fields(base)
+    }
+    return {f.name for f in dataclasses.fields(cls) if f.init} - inherited
 
 
 def test_the_readme_config_table_lists_every_key_with_its_default():
@@ -474,10 +492,7 @@ def test_the_readme_config_table_lists_every_key_with_its_default():
     listed = {(section, key): default for section, key, default, _ in rows}
     assert len(listed) == len(rows)
     assert set(listed) == {
-        (section, f.name)
-        for section, cls in README_SECTIONS.items()
-        for f in dataclasses.fields(cls)
-        if f.init
+        (section, key) for section, cls in README_SECTIONS.items() for key in declared_keys(cls)
     }
     # Each default, read as a file's value would be, is the field's own.
     for (section, key), raw in listed.items():
@@ -497,6 +512,19 @@ def test_the_fuzzy_pid_constants_are_not_keys(tmp_path, capsys, key):
         assert main(["track", "--config", str(config), "--out", str(out)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: unknown key '{key}' in [{section}]"), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["fou_height_scale", "fou_lag"])
+def test_a_type1_section_takes_no_footprint(tmp_path, capsys, key):
+    # A type-1 set has no footprint of uncertainty: [fpid-t1] refuses the
+    # type-2 keys as it refuses a typo, on every subcommand.
+    config = write_config(tmp_path, sections={"fpid-t1": {key: "0.5"}})
+    out = tmp_path / "never"
+    for command in ("plan", "track", "step", "horizon"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown key '{key}' in [fpid-t1]"), err
         assert not out.exists()
 
 

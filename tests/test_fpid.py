@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import struct
@@ -14,6 +15,7 @@ from omnitrack import fpid
 from omnitrack.cli import main
 from omnitrack.fpid import (
     FpidConfig,
+    FpidIt2Config,
     FuzzyPidController,
     PidState,
     compute_errors,
@@ -201,7 +203,8 @@ def test_zero_engine_reduces_to_fixed_pid():
 
 def test_type1_and_degenerate_type2_controllers_agree():
     t1 = _controller("fpid-t1")
-    t2 = _controller("fpid-it2", FpidConfig(fou_lag=0.0, fou_height_scale=1.0))
+    t2 = _controller("fpid-it2", FpidIt2Config(fou_lag=0.0, fou_height_scale=1.0))
+    assert isinstance(t2.engine, Type2Engine)
     robot = RobotPose(0.0, 0.0, 0.0)
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -214,18 +217,28 @@ def test_type1_and_degenerate_type2_controllers_agree():
 
 
 def test_engine_choice_from_config():
-    # The controller id picks the engine; the fou_* fields shape the type-2 one.
+    # The config's class picks the engine; the fou_* fields shape the type-2 one.
     assert isinstance(_controller("fpid-t1").engine, Type1Engine)
-    assert isinstance(_controller("fpid-t1", FpidConfig(fou_lag=0.45)).engine, Type1Engine)
-    it2 = _controller("fpid-it2", FpidConfig(fou_lag=0.45, fou_height_scale=0.8)).engine
-    assert isinstance(it2, Type2Engine)
-    probes = [(0.4, -0.2), (0.8, 0.1), (-0.6, 0.5)]
-    outputs = [it2.infer(e, de) for e, de in probes]
-    assert outputs == [Type2Engine(height_scale=0.8, lag=0.45).infer(e, de) for e, de in probes]
-    assert outputs != [Type2Engine().infer(e, de) for e, de in probes]
-    # Gains outside [0, k_max] and footprints the type-2 engine rejects
-    # fail here, not when the first episode builds its controller.
-    for bad in (
+    assert isinstance(_controller("fpid-it2").engine, Type2Engine)
+    probes = [(0.4, -0.2), (0.8, 0.1), (-0.6, 0.5), (0.0, 0.0), (1.0, -1.0)]
+
+    def increments(engine):
+        return [struct.pack("3d", *engine.infer(e, de)) for e, de in probes]
+
+    # Through the lab or built directly, the controller's increments are
+    # those of a Type2Engine of the config's footprint, bit for bit.
+    config = FpidIt2Config(fou_lag=0.45, fou_height_scale=0.8)
+    want = increments(Type2Engine(height_scale=0.8, lag=0.45))
+    for ctrl in (_controller("fpid-it2", config), FuzzyPidController(config)):
+        assert isinstance(ctrl.engine, Type2Engine)
+        assert increments(ctrl.engine) == want
+    assert want != increments(Type2Engine())
+    # An injected engine replaces the one the config would pick.
+    assert isinstance(FuzzyPidController(config, engine=Type1Engine()).engine, Type1Engine)
+    # Gains outside [0, k_max] fail in either class, and footprints the
+    # type-2 engine rejects in the type-2 one, not when the first episode
+    # builds its controller.
+    shared = (
         {"dist_kp": 12.0},
         {"head_kd": -0.1},
         {"dist_ki": 5.0, "k_max": 4.0},
@@ -233,6 +246,8 @@ def test_engine_choice_from_config():
         {"k_max": math.inf},
         {"i_max": 0.0},
         {"i_max": math.nan},
+    )
+    footprints = (
         {"fou_lag": 1.0},
         {"fou_lag": -0.1},
         # Lags this close to 1 round a lower set's foot onto its apex.
@@ -240,11 +255,27 @@ def test_engine_choice_from_config():
         {"fou_lag": 0.9999999999999999},
         {"fou_height_scale": 0.0},
         {"fou_height_scale": 1.5},
-    ):
-        with pytest.raises(ValueError):
-            FpidConfig(**bad)
+    )
+    for cls, bad_values in ((FpidConfig, shared), (FpidIt2Config, shared + footprints)):
+        for bad in bad_values:
+            with pytest.raises(ValueError):
+                cls(**bad)
     with pytest.raises(ValueError, match="fou_lag"):
-        FpidConfig(fou_lag=0.9999999999999998)
+        FpidIt2Config(fou_lag=0.9999999999999998)
+
+
+def test_only_the_type2_config_takes_a_footprint():
+    # A type-1 set has no footprint of uncertainty, so the type-1 class
+    # has no field for one and the type-2 class adds exactly its two.
+    shared = [f.name for f in dataclasses.fields(FpidConfig)]
+    assert len(shared) == 10
+    assert [f.name for f in dataclasses.fields(FpidIt2Config)] == shared + [
+        "fou_height_scale",
+        "fou_lag",
+    ]
+    for key in ("fou_height_scale", "fou_lag"):
+        with pytest.raises(TypeError, match=key):
+            FpidConfig(**{key: 0.5})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -259,7 +290,7 @@ def test_engine_choice_from_config():
 )
 def test_every_accepted_footprint_builds_a_finite_type2_engine(lag, height_scale, e, de):
     try:
-        config = FpidConfig(fou_lag=lag, fou_height_scale=height_scale)
+        config = FpidIt2Config(fou_lag=lag, fou_height_scale=height_scale)
     except ValueError:
         return
     engine = _controller("fpid-it2", config).engine

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omnitrack.fpid import FpidConfig, FuzzyPidController
+from omnitrack.fpid import FpidConfig, FpidIt2Config, FuzzyPidController
 from omnitrack.kinematics import (
     BodyVelocity,
     RobotPose,
@@ -92,6 +92,14 @@ def test_unknown_controller_is_rejected():
         Episode(trajectory=traj, controller="fpid-t1", controller_config=OcpConfig())
     with pytest.raises(ValueError, match="'nmpc'"):
         replace(Episode(traj, "nmpc"), controller_config=FpidConfig())
+    # The config's class picks the fuzzy engine, so the two fuzzy PIDs
+    # refuse each other's class, although the type-2 one subclasses the
+    # type-1 one.
+    for controller, config in (("fpid-it2", FpidConfig()), ("fpid-t1", FpidIt2Config())):
+        with pytest.raises(ValueError, match=f"'{controller}' takes an "):
+            Episode(trajectory=traj, controller=controller, controller_config=config)
+        with pytest.raises(ValueError, match=f"'{controller}' takes an "):
+            _controller(controller, config)
 
 
 def test_log_layout_and_initial_row():
