@@ -2,8 +2,8 @@
 
 The package splits into small, composable layers:
 
-- :mod:`omnitrack.kinematics` — the fixed chassis's wheel/body velocity maps
-  and pose integration.
+- :mod:`omnitrack.kinematics` — the fixed chassis's limits, its wheel/body
+  velocity maps and pose integration.
 - :mod:`omnitrack.planning` — occupancy grids, A* search, B-spline smoothing
   and arc-length-uniform reference sampling.
 - :mod:`omnitrack.fuzzy` — type-1 and interval type-2 Mamdani engines that

@@ -30,7 +30,12 @@ declared type; values are literal, with no ``%`` interpolation.  The
 section name picks the config class and the class picks the controller
 and its fuzzy engine: only ``[fpid-it2]`` takes the type-2 footprint
 keys ``fou_height_scale`` and ``fou_lag``.  The sample time is
-``[experiment] ts``, never a controller key.
+``[experiment] ts``, never a controller key.  Nor are the robot's
+limits: every controller drives the one chassis of
+``omnitrack.kinematics``, within its ``V_MAX`` of 1.5 m/s and
+``OMEGA_MAX`` of 3.14 rad/s.  The fuzzy PIDs bound the speed's
+magnitude along the line of sight and the yaw rate; NMPC boxes its
+unicycle inputs, the speed v along the heading and the yaw rate.
 ``map = standard`` selects the bundled map.
 """
 

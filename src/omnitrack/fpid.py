@@ -14,11 +14,10 @@ trajectory's sample time.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 from omnitrack.fuzzy import GainDeltas, Type1Engine, Type2Engine, check_footprint
-from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
+from omnitrack.kinematics import OMEGA_MAX, V_MAX, BodyVelocity, RobotPose, wrap_angle
 from omnitrack.planning import ReferenceTrajectory
 
 # Each loop's error range, the error rate's extra divisor, and the range
@@ -28,19 +27,15 @@ HEADING_NORM = math.pi
 DE_SCALE = 10.0
 DISTANCE_THRESHOLD = 0.01
 
-# The bytes of a normalized (e, de) pair: equal bytes are the same input
-# to an engine, and 0.0 and -0.0 differ.
-_PAIR = struct.Struct("dd")
-
 
 @dataclass
 class PidState:
     """Gains plus integrator and previous error of one PID loop.
 
     The integrator and previous error start at zero.  The last three
-    fields remember the loop's last engine call: the engine, the bytes of
-    its normalized input and the increments it returned, a memo outside
-    the PID law.  None of these five is a constructor parameter.
+    fields remember the loop's last engine call: the engine, its
+    normalized input and the increments it returned, a memo outside the
+    PID law.  None of these five is a constructor parameter.
     """
 
     kp: float
@@ -51,7 +46,9 @@ class PidState:
     integral: float = field(default=0.0, init=False)
     prev_error: float = field(default=0.0, init=False)
     engine: object = field(default=None, init=False, repr=False, compare=False)
-    last_input: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    last_input: tuple[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     last_deltas: GainDeltas | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -94,9 +91,10 @@ def fpid_step(
     The engine sees the error and its rate normalized into [-1, 1] (the
     rate additionally divided by DE_SCALE) and returns gain increments,
     which are applied before the PID law is evaluated.  An engine is a
-    pure function of that pair, so while the pair repeats bit for bit
-    and the engine is the same object, the loop reuses the increments
-    of its last call instead of asking again.
+    pure function of that pair, so while the pair repeats and the engine
+    is the same object, the loop reuses the increments of its last call
+    instead of asking again.  The pair compares by value: both engines
+    return the same increments for 0.0 as for -0.0.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -105,10 +103,10 @@ def fpid_step(
     derivative = (error - state.prev_error) / dt
     e_n = min(max(error / norm_scale, -1.0), 1.0)
     de_n = min(max(derivative / (norm_scale * DE_SCALE), -1.0), 1.0)
-    key = _PAIR.pack(e_n, de_n)
-    if engine is not state.engine or key != state.last_input:
+    pair = (e_n, de_n)
+    if engine is not state.engine or pair != state.last_input:
         state.last_deltas = engine.infer(e_n, de_n)
-        state.engine, state.last_input = engine, key
+        state.engine, state.last_input = engine, pair
     dkp, dki, dkd = state.last_deltas
     state.kp = min(max(state.kp + dkp, 0.0), state.k_max)
     state.ki = min(max(state.ki + dki, 0.0), state.k_max)
@@ -132,12 +130,8 @@ class FpidConfig:
     head_kd: float = 0.1
     k_max: float = 10.0
     i_max: float = 1.0
-    v_max: float = 1.5
-    omega_max: float = 3.14
 
     def __post_init__(self):
-        if not self.v_max > 0.0 or not self.omega_max > 0.0:
-            raise ValueError("velocity bounds must be positive")
         if not (0.0 < self.k_max < math.inf and 0.0 < self.i_max < math.inf):
             raise ValueError("k_max and i_max must be positive and finite")
         gains = ("dist_kp", "dist_ki", "dist_kd", "head_kp", "head_ki", "head_kd")
@@ -205,18 +199,19 @@ class FuzzyPidController:
         speed follows the line of sight to the target in the global
         frame, the frame the plant integrates, whatever the robot's
         heading; inside DISTANCE_THRESHOLD there is no line of sight to
-        follow and the speed is zero.
+        follow and the speed is zero.  The chassis' limits bound the
+        speed along that line to [0, V_MAX] and the yaw rate to
+        [-OMEGA_MAX, OMEGA_MAX].
         """
         n = len(trajectory)
         if not 0 <= k < n:
             raise IndexError(f"step {k} outside trajectory of length {n}")
-        cfg = self.config
         dt = trajectory.ts
         err = compute_errors(robot, RobotPose(*trajectory.poses[k]))
         v = fpid_step(self.distance, self.engine, err.dr, dt, DISTANCE_NORM)
         omega = fpid_step(self.heading, self.engine, err.e_theta, dt, HEADING_NORM)
-        omega = min(max(omega, -cfg.omega_max), cfg.omega_max)
+        omega = min(max(omega, -OMEGA_MAX), OMEGA_MAX)
         if err.dr < DISTANCE_THRESHOLD:
             return BodyVelocity(0.0, 0.0, omega)
-        v = min(max(v, 0.0), cfg.v_max)
+        v = min(max(v, 0.0), V_MAX)
         return BodyVelocity(v * err.e_x / err.dr, v * err.e_y / err.dr, omega)

@@ -12,6 +12,10 @@ chassis, so both matrices are read-only constants built at import, with
 no linear-algebra call.  The inverse map's product is written out row by
 row in float arithmetic and the forward map's column by column, so the
 rates do not depend on the BLAS kernel.
+
+The chassis also sets the robot's limits, ``V_MAX`` and ``OMEGA_MAX``.
+Every controller commands within them, so the controllers compare on
+one machine.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ WHEEL_ANGLES = (
     5.0 * math.pi / 4.0,
     7.0 * math.pi / 4.0,
 )
+# The robot's limits, shared by every controller: the bound on the speed's
+# magnitude, m/s, and on the yaw rate, rad/s.
+V_MAX = 1.5
+OMEGA_MAX = 3.14
 
 
 def _wheel_matrices() -> tuple[np.ndarray, np.ndarray]:

@@ -2,12 +2,13 @@
 
 The optimal control problem minimizes quadratic state and input tracking
 costs over a horizon of unicycle prediction steps, subject to box bounds
-on the inputs.  The inputs are the solver's only unknowns: the states
-are their rollout through the discrete dynamics, so every returned
-trajectory satisfies those dynamics by construction.  The solver takes
-Gauss-Newton steps on the input sequence; bounds are enforced by an
-active-set pass inside each step, and the projected gradient (the KKT
-residual) decides convergence.  Each step solves the Gauss-Newton normal
+on the inputs, which are the chassis' speed and yaw-rate limits.  The
+inputs are the solver's only unknowns: the states are their rollout
+through the discrete dynamics, so every returned trajectory satisfies
+those dynamics by construction.  The solver takes Gauss-Newton steps
+on the input sequence; bounds are enforced by an active-set pass inside
+each step and a projection of each line-search trial, and the projected
+gradient (the KKT residual) decides convergence.  Each step solves the Gauss-Newton normal
 equations, which are positive definite because every input weight is
 positive.  The prediction steps by the sample time that comes with the
 reference windows, in :class:`OcpProblem`.
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from omnitrack.kinematics import BodyVelocity, RobotPose, wrap_angle
+from omnitrack.kinematics import OMEGA_MAX, V_MAX, BodyVelocity, RobotPose, wrap_angle
 from omnitrack.planning import ReferenceTrajectory
 
 ARMIJO_SLOPE = 1e-4
@@ -35,13 +36,15 @@ class DimensionMismatchError(Exception):
 
 @dataclass
 class OcpConfig:
-    """Horizon, weights, bounds and solver tolerances."""
+    """Horizon, weights and solver tolerances.
+
+    The input box is not tuned here: it is the chassis' ``V_MAX`` and
+    ``OMEGA_MAX``, which ``v_max`` and ``omega_max`` read.
+    """
 
     horizon: int = 15
     q_diag: tuple[float, float, float] = (15.0, 15.0, 15.0)
     r_diag: tuple[float, float] = (1.0, 1.0)
-    v_max: float = 1.5
-    omega_max: float = 3.14
     kkt_tolerance: float = 1e-4
     max_iterations: int = 50
 
@@ -63,16 +66,22 @@ class OcpConfig:
         # A zero input weight can leave the Gauss-Newton system singular.
         if not all(0.0 < v < math.inf for v in self.r_diag):
             raise ValueError("r_diag weights must be positive and finite")
-        if not self.v_max > 0.0 or not self.omega_max > 0.0:
-            raise ValueError("input bounds must be positive")
         if not 0.0 < self.kkt_tolerance < math.inf:
             raise ValueError("kkt_tolerance must be positive and finite")
 
+    @property
+    def v_max(self) -> float:
+        """The bound on the speed input, the chassis' ``V_MAX``."""
+        return V_MAX
+
+    @property
+    def omega_max(self) -> float:
+        """The bound on the yaw-rate input, the chassis' ``OMEGA_MAX``."""
+        return OMEGA_MAX
+
     def constants(self, ts: float) -> "_Constants":
         """The arrays this configuration fixes at sample time ts, shared."""
-        return _constants(
-            self.horizon, ts, self.q_diag, self.r_diag, self.v_max, self.omega_max
-        )
+        return _constants(self.horizon, ts, self.q_diag, self.r_diag)
 
 
 class _Constants(NamedTuple):
@@ -87,9 +96,9 @@ class _Constants(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _constants(horizon, ts, q_diag, r_diag, v_max, omega_max) -> _Constants:
+def _constants(horizon, ts, q_diag, r_diag) -> _Constants:
     n = horizon
-    lower = np.tile([-v_max, -omega_max], n)
+    lower = np.tile([-V_MAX, -OMEGA_MAX], n)
     sq = np.sqrt(np.asarray(q_diag))
     sr = np.sqrt(np.asarray(r_diag))
     before = np.tri(n, dtype=bool)
@@ -104,7 +113,7 @@ def _constants(horizon, ts, q_diag, r_diag, v_max, omega_max) -> _Constants:
     return arrays
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays, so == compares identity
 class OcpProblem:
     """One tracking instance: initial pose plus reference windows sampled every ts."""
 
@@ -130,7 +139,7 @@ class OcpProblem:
         return self.u_ref.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays, so == compares identity
 class OcpSolution:
     """Inputs (N, 2), the states (N + 1, 3) their rollout visits, and diagnostics."""
 
@@ -259,7 +268,7 @@ def _kkt_residual(
     return float(res.max())
 
 
-def _steer_guess(problem: OcpProblem, config: OcpConfig) -> np.ndarray:
+def _steer_guess(problem: OcpProblem) -> np.ndarray:
     """Turn-then-drive input guess aimed at the end of the window.
 
     Pure lateral displacements with aligned headings make the reference
@@ -275,7 +284,7 @@ def _steer_guess(problem: OcpProblem, config: OcpConfig) -> np.ndarray:
     bearing = math.atan2(dy, dx) if dist > 1e-9 else target[2]
     turn = wrap_angle(bearing - x0[2])
     ts = problem.ts
-    turn_steps = min(n, max(1, math.ceil(abs(turn) / (config.omega_max * ts))))
+    turn_steps = min(n, max(1, math.ceil(abs(turn) / (OMEGA_MAX * ts))))
     guess = np.zeros((n, 2))
     guess[:turn_steps, 1] = turn / (turn_steps * ts)
     if turn_steps < n:
@@ -304,7 +313,7 @@ def solve(
             raise DimensionMismatchError("warm start must hold horizon inputs")
         starts = [start]
     else:
-        starts = [problem.u_ref.ravel(), _steer_guess(problem, config)]
+        starts = [problem.u_ref.ravel(), _steer_guess(problem)]
 
     best = None
     total_iterations = 0
@@ -346,7 +355,9 @@ def _solve_from(
                 break
         alpha = 1.0
         while alpha >= MIN_STEP:
-            trial = u + alpha * delta
+            # u + delta can round an ulp past the bound a pinned input was
+            # moved to, so each trial is put back into the box.
+            trial = np.clip(u + alpha * delta, lower, upper)
             r_trial, states_trial = model.residual(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial <= cost + ARMIJO_SLOPE * alpha * slope:

@@ -43,7 +43,7 @@ class DegenerateCurveError(PlanningError):
     """Smoothed curve has (numerically) zero or non-finite arc length."""
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays, so == compares identity
 class OccupancyGrid:
     """Binary occupancy grid; cells[row, col] == 1 marks an obstacle.
 
@@ -249,7 +249,7 @@ def _horner(coeffs: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays, so == compares identity
 class SmoothPath:
     """Clamped cubic B-spline curve through a planned path's corridor.
 
@@ -463,7 +463,7 @@ def _invert_arc_length(
     return t
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays, so == compares identity
 class ReferenceTrajectory:
     """Uniformly timestamped reference: poses plus speed and yaw-rate rows."""
 

@@ -59,7 +59,7 @@ class NoiseModel:
         return draw * math.sin(n * ts / NOISE_TIME_SCALE)
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays, so == compares identity
 class EpisodeLog:
     """Per-step arrays recorded by :func:`run_episode`."""
 

@@ -25,8 +25,9 @@ from omnitrack.cli import (
     standard_map_path,
 )
 from omnitrack.fpid import FpidConfig, FpidIt2Config
+from omnitrack.kinematics import OMEGA_MAX, V_MAX
 from omnitrack.nmpc import OcpConfig
-from omnitrack.simlab import CONTROLLER_IDS, EpisodeLog, tracking_metrics
+from omnitrack.simlab import CONTROLLER_IDS, EpisodeLog, run_step_response, tracking_metrics
 
 from test_simlab import read_csv_floats
 
@@ -194,6 +195,34 @@ def test_step_reports_undefined_fields_as_empty(tmp_path, capsys):
     assert rows["y"]["rise_time"] == ""
     assert rows["y"]["settling_time"] == ""
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["track.ini", "noise.ini", "step.ini"])
+def test_every_controller_keeps_to_the_chassis_limits(tmp_path, capsys, name):
+    # One robot: in the bundled runs every controller's command keeps its
+    # speed's magnitude within V_MAX, to rounding, and its yaw rate within
+    # OMEGA_MAX.  `track` logs its commands; `step` logs none, so its
+    # episodes are run as the subcommand runs them.
+    path = CONFIG_DIR / name
+    config = load_config(path, need_controllers=True)
+    commands = {}
+    if name == "step.ini":
+        for cid in config.controllers:
+            steps = run_step_response(cid, config.controller_configs[cid], ts=config.ts)
+            for axis, (_, episode) in steps.items():
+                commands[f"{cid} {axis}"] = episode.log.command
+    else:
+        out = tmp_path / "out"
+        assert main(["track", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        for cid in config.controllers:
+            header, run = read_csv_floats(out / f"run_{cid}.csv")
+            commands[cid] = run[:, header.index("vx_cmd") : header.index("omega_cmd") + 1]
+    assert len(commands) == (9 if name == "step.ini" else 3)
+    for run, command in commands.items():
+        vx, vy, omega = command.T
+        assert np.hypot(vx, vy).max() <= V_MAX * (1 + 1e-12), run
+        assert np.abs(omega).max() <= OMEGA_MAX, run
 
 
 # -------------------------------------------------------------- horizon
@@ -502,17 +531,31 @@ def test_the_readme_config_table_lists_every_key_with_its_default():
         assert value == want and type(value) is type(want), (section, key)
 
 
-@pytest.mark.parametrize("key", ["dist_norm", "head_norm", "de_scale", "threshold"])
+# Each constant that was once a key, and the sections that took it.
+REMOVED_KEYS = {
+    "dist_norm": ("fpid-t1", "fpid-it2"),
+    "head_norm": ("fpid-t1", "fpid-it2"),
+    "de_scale": ("fpid-t1", "fpid-it2"),
+    "threshold": ("fpid-t1", "fpid-it2"),
+    "v_max": ("fpid-t1", "fpid-it2", "nmpc"),
+    "omega_max": ("fpid-t1", "fpid-it2", "nmpc"),
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_the_fuzzy_pid_constants_are_not_keys(tmp_path, capsys, key):
     # The normalizing ranges, the rate divisor and the stopping range are
-    # constants of omnitrack.fpid; a file that sets one fails as a typo does.
+    # constants of omnitrack.fpid, and the speed and yaw-rate limits are
+    # the chassis' own in omnitrack.kinematics; a file that sets one fails
+    # as a typo does, on every subcommand.
     out = tmp_path / "never"
-    for section in ("fpid-t1", "fpid-it2"):
+    for section in REMOVED_KEYS[key]:
         config = write_config(tmp_path, sections={section: {key: "0.05"}})
-        assert main(["track", "--config", str(config), "--out", str(out)]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: unknown key '{key}' in [{section}]"), err
-        assert not out.exists()
+        for command in ("plan", "track", "step", "horizon"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: unknown key '{key}' in [{section}]"), err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["fou_height_scale", "fou_lag"])
@@ -608,15 +651,12 @@ FUZZ_POOL = {
     "fpid-t1": {
         "dist_kp": ["1.0", "2.5"],
         "i_max": ["1.0"],
-        "v_max": ["1.5"],
-        "omega_max": ["3.14"],
     },
     "fpid-it2": {"fou_lag": ["0.3", "0.7"], "fou_height_scale": ["1.0", "0.8"]},
     "nmpc": {
         "horizon": ["3"],
         "q_diag": ["15, 15, 15", "1, 1", "1, 2, 3, 4"],  # then two wrong lengths
         "r_diag": ["1, 1", "0, 0"],
-        "v_max": ["1.5"],
         "kkt_tolerance": ["1e-4"],
         "max_iterations": ["5"],
     },
@@ -624,7 +664,7 @@ FUZZ_POOL = {
 
 
 # Sections no config may hold; one drawn config in ten carries one.
-STRAY_SECTIONS = ["[DEFAULT]\nhorizon = 3", "[DEFAULT]\nseed = 1", "[nmcp]", "[fpid_t1]\nv_max = 1.5"]
+STRAY_SECTIONS = ["[DEFAULT]\nhorizon = 3", "[DEFAULT]\nseed = 1", "[nmcp]", "[fpid_t1]\ndist_kp = 1.0"]
 
 
 @st.composite

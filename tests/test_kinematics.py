@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import platform
@@ -11,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnitrack import planning
+from omnitrack.fpid import FpidConfig, FpidIt2Config
 from omnitrack.kinematics import (
     BODY_RADIUS,
+    OMEGA_MAX,
+    V_MAX,
     WHEEL_ANGLES,
     WHEEL_LEFT_INVERSE,
     WHEEL_MATRIX,
@@ -24,6 +28,7 @@ from omnitrack.kinematics import (
     inverse_kinematics,
     wrap_angle,
 )
+from omnitrack.nmpc import OcpConfig
 
 
 def test_wrap_angle_scalar_and_array():
@@ -223,6 +228,23 @@ def test_wheel_matrices_are_read_only_constants():
 def test_wheel_left_inverse_is_the_pseudo_inverse():
     pinv = np.linalg.pinv(WHEEL_MATRIX)
     assert np.abs(WHEEL_LEFT_INVERSE - pinv).max() <= 3e-17
+
+
+def test_the_robot_limits_are_the_chassis_own():
+    # One robot, one set of limits: no controller's config holds them.
+    for cls, count in ((FpidConfig, 8), (FpidIt2Config, 10), (OcpConfig, 5)):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert len(names) == count and not names & {"v_max", "omega_max"}, cls
+        for name in ("v_max", "omega_max"):
+            with pytest.raises(TypeError, match=name):
+                cls(**{name: 1.0})
+    # NMPC's input box is the chassis'; its config only reads the limits.
+    config = OcpConfig()
+    assert (config.v_max, config.omega_max) == (V_MAX, OMEGA_MAX) == (1.5, 3.14)
+    with pytest.raises(AttributeError):
+        config.v_max = 2.0
+    _, upper, *_ = config.constants(0.1)
+    assert upper.tolist() == [V_MAX, OMEGA_MAX] * config.horizon
 
 
 CONSTANT_BYTES = (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnitrack.kinematics import RobotPose, integrate_pose, wrap_angle
+from omnitrack.kinematics import OMEGA_MAX, V_MAX, RobotPose, integrate_pose, wrap_angle
 from omnitrack.nmpc import (
     DimensionMismatchError,
     NmpcController,
@@ -288,18 +288,19 @@ def test_gn_step_matches_the_least_squares_oracle(horizon, bounded, q_diag, r_di
     offset=st.tuples(
         st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-math.pi, math.pi)
     ),
-    speed=st.floats(-3.0, 3.0),
-    turn=st.floats(-6.0, 6.0),
+    # References up to three times the chassis' limits, so the box binds.
+    speed=st.floats(-3 * V_MAX, 3 * V_MAX),
+    turn=st.floats(-3 * OMEGA_MAX, 3 * OMEGA_MAX),
     warm=st.booleans(),
 )
 def test_solver_inputs_stay_inside_the_box(horizon, offset, speed, turn, warm):
-    cfg = OcpConfig(horizon=horizon, v_max=1.0, omega_max=2.0)
+    cfg = OcpConfig(horizon=horizon)
     u_ref = np.tile([speed, turn], (horizon, 1))
     x_ref = rollout(np.zeros(3), u_ref, 0.1)
     problem = OcpProblem(RobotPose(*offset), x_ref, u_ref, 0.1)
     solution = solve(problem, cfg, warm_start=u_ref.ravel() if warm else None)
-    assert np.all(np.abs(solution.inputs[0]) <= [cfg.v_max, cfg.omega_max])
-    assert np.all(np.abs(solution.inputs) <= [cfg.v_max, cfg.omega_max])
+    assert np.all(np.abs(solution.inputs[0]) <= [V_MAX, OMEGA_MAX])
+    assert np.all(np.abs(solution.inputs) <= [V_MAX, OMEGA_MAX])
 
 
 # -------------------------------------------------------------- solver
@@ -345,8 +346,9 @@ def test_matches_grid_search_oracle_on_random_instances():
 
 
 def test_defects_are_negligible_and_bounds_hold():
-    traj = circle_trajectory()
-    cfg = OcpConfig(horizon=10, v_max=0.5, omega_max=0.45)
+    # A circle faster and tighter than the chassis can drive: 2 m/s, 3.33 rad/s.
+    traj = circle_trajectory(radius=0.6, speed=2.0)
+    cfg = OcpConfig(horizon=10)
     ctrl = NmpcController(cfg)
     pose = RobotPose(0.05, -0.05, 0.1)
     top_speed = 0.0
@@ -355,12 +357,12 @@ def test_defects_are_negligible_and_bounds_hold():
         sol = ctrl.last_solution
         x_ref, u_ref = reference_window(traj, k, cfg.horizon)
         assert defects(OcpProblem(pose, x_ref, u_ref, traj.ts), sol) <= 1e-6
-        assert np.all(np.abs(sol.inputs[:, 0]) <= cfg.v_max + 1e-12)
-        assert np.all(np.abs(sol.inputs[:, 1]) <= cfg.omega_max + 1e-12)
+        assert np.all(np.abs(sol.inputs[:, 0]) <= V_MAX + 1e-12)
+        assert np.all(np.abs(sol.inputs[:, 1]) <= OMEGA_MAX + 1e-12)
         top_speed = max(top_speed, float(np.hypot(cmd.vx, cmd.vy)))
         pose = integrate_pose(pose, cmd, traj.ts)
     # The bound binds: the reference moves faster than the cap allows.
-    assert top_speed == pytest.approx(cfg.v_max, abs=1e-6)
+    assert top_speed == pytest.approx(V_MAX, abs=1e-6)
 
 
 def test_heading_reference_shifted_by_two_pi_is_equivalent():
@@ -485,8 +487,6 @@ def test_config_validation():
             OcpConfig(q_diag=(bad, 1.0, 1.0))
         with pytest.raises(ValueError):
             OcpConfig(r_diag=(1.0, bad))
-    with pytest.raises(ValueError):
-        OcpConfig(v_max=0.0)
     # An infinite tolerance would accept the start without a single iteration.
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import copy
 import csv
 import inspect
 import math
@@ -16,8 +17,8 @@ from omnitrack.kinematics import (
     inverse_kinematics,
     wrap_angle,
 )
-from omnitrack.nmpc import NmpcController, OcpConfig
-from omnitrack.planning import ReferenceTrajectory
+from omnitrack.nmpc import NmpcController, OcpConfig, OcpProblem, reference_window, solve
+from omnitrack.planning import OccupancyGrid, ReferenceTrajectory, plan_reference
 from omnitrack.simlab import (
     RUN_HEADER_BASE,
     RUN_HEADER_SOLVER,
@@ -398,6 +399,38 @@ def test_the_log_is_not_a_constructor_parameter():
     episode = run_episode(Episode(traj, "fpid-t1"))
     assert len(episode.log) == 5
     assert replace(episode, seed=1).log is None  # a copy has not run
+
+
+@pytest.fixture(scope="module")
+def array_records():
+    """One record of each class that holds arrays, and an episode of them."""
+    grid = OccupancyGrid(np.zeros((6, 6)))
+    _, curve, ref = plan_reference(grid, (0, 0), (5, 5), 3.0, 0.1)
+    x_ref, u_ref = reference_window(ref, 0, 5)
+    problem = OcpProblem(RobotPose(*ref.poses[0]), x_ref, u_ref, ref.ts)
+    episode = run_episode(Episode(ref, "nmpc"))
+    return {
+        "OccupancyGrid": grid,
+        "SmoothPath": curve,
+        "ReferenceTrajectory": ref,
+        "OcpProblem": problem,
+        "OcpSolution": solve(problem, OcpConfig(horizon=5)),
+        "EpisodeLog": episode.log,
+        "Episode": episode,
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["OccupancyGrid", "SmoothPath", "ReferenceTrajectory", "OcpProblem", "OcpSolution",
+     "EpisodeLog", "Episode"],
+)
+def test_records_that_hold_arrays_compare_by_identity(array_records, name):
+    # Comparing field by field would ask an array for one truth value and
+    # raise; a record equals itself and not a copy.
+    record = array_records[name]
+    assert record == record
+    assert (record == copy.deepcopy(record)) is False
 
 
 # ------------------------------------------------------------- csv files
