@@ -35,7 +35,10 @@ limits: every controller drives the one chassis of
 ``omnitrack.kinematics``, within its ``V_MAX`` of 1.5 m/s and
 ``OMEGA_MAX`` of 3.14 rad/s.  The fuzzy PIDs bound the speed's
 magnitude along the line of sight and the yaw rate; NMPC boxes its
-unicycle inputs, the speed v along the heading and the yaw rate.
+unicycle inputs, the speed v along the heading and the yaw rate.  The
+fuzzy PIDs' gain and integrator bounds (``K_MAX``, ``I_MAX``) and NMPC's
+stop rule (``KKT_TOLERANCE``, ``MAX_ITERATIONS``) are constants of their
+modules, not keys either.
 ``map = standard`` selects the bundled map.
 """
 

@@ -4,7 +4,7 @@ Two independent PID loops chase the reference pose of the current step:
 a distance loop turns the range to that target into a speed command and
 a heading loop turns the heading error into a yaw rate.  Each loop's
 gains are nudged every step by a fuzzy engine fed the normalized error
-and error rate, then clamped to [0, k_max].  The speed command is
+and error rate, then clamped to [0, K_MAX].  The speed command is
 emitted along the line of sight to the target, in the global frame.
 The controller is called as the predictive one is, with the measured
 pose, the reference trajectory and the step index, and steps by the
@@ -26,23 +26,25 @@ DISTANCE_NORM = 1.0
 HEADING_NORM = math.pi
 DE_SCALE = 10.0
 DISTANCE_THRESHOLD = 0.01
+# The bound of every scheduled gain, and of each integrator's magnitude.
+K_MAX = 10.0
+I_MAX = 1.0
 
 
 @dataclass
 class PidState:
     """Gains plus integrator and previous error of one PID loop.
 
-    The integrator and previous error start at zero.  The last three
-    fields remember the loop's last engine call: the engine, its
-    normalized input and the increments it returned, a memo outside the
-    PID law.  None of these five is a constructor parameter.
+    The gains start in [0, K_MAX]; the integrator and previous error
+    start at zero.  The last three fields remember the loop's last engine
+    call: the engine, its normalized input and the increments it
+    returned, a memo outside the PID law.  None of these five is a
+    constructor parameter.
     """
 
     kp: float
     ki: float
     kd: float
-    k_max: float = 10.0
-    i_max: float = 1.0
     integral: float = field(default=0.0, init=False)
     prev_error: float = field(default=0.0, init=False)
     engine: object = field(default=None, init=False, repr=False, compare=False)
@@ -54,11 +56,9 @@ class PidState:
     )
 
     def __post_init__(self):
-        if not self.k_max > 0.0 or not self.i_max > 0.0:
-            raise ValueError("k_max and i_max must be positive")
         for g in (self.kp, self.ki, self.kd):
-            if not 0.0 <= g <= self.k_max:
-                raise ValueError("initial gains must lie in [0, k_max]")
+            if not 0.0 <= g <= K_MAX:
+                raise ValueError(f"initial gains must lie in [0, {K_MAX:g}]")
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,10 @@ def fpid_step(
         state.last_deltas = engine.infer(e_n, de_n)
         state.engine, state.last_input = engine, pair
     dkp, dki, dkd = state.last_deltas
-    state.kp = min(max(state.kp + dkp, 0.0), state.k_max)
-    state.ki = min(max(state.ki + dki, 0.0), state.k_max)
-    state.kd = min(max(state.kd + dkd, 0.0), state.k_max)
-    state.integral = min(max(state.integral + error * dt, -state.i_max), state.i_max)
+    state.kp = min(max(state.kp + dkp, 0.0), K_MAX)
+    state.ki = min(max(state.ki + dki, 0.0), K_MAX)
+    state.kd = min(max(state.kd + dkd, 0.0), K_MAX)
+    state.integral = min(max(state.integral + error * dt, -I_MAX), I_MAX)
     output = state.kp * error + state.ki * state.integral + state.kd * derivative
     state.prev_error = error
     return output
@@ -119,8 +119,9 @@ def fpid_step(
 
 @dataclass
 class FpidConfig:
-    """Tuning knobs of the two-loop controller: the ``[fpid-t1]`` keys,
-    which run the type-1 engine (see README for the file form)."""
+    """Initial gains of the two loops: the ``[fpid-t1]`` keys, which run
+    the type-1 engine (see README for the file form).  Each lies in
+    [0, K_MAX]; the gain and integrator bounds are module constants."""
 
     dist_kp: float = 1.0
     dist_ki: float = 0.0
@@ -128,16 +129,12 @@ class FpidConfig:
     head_kp: float = 2.0
     head_ki: float = 0.0
     head_kd: float = 0.1
-    k_max: float = 10.0
-    i_max: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.k_max < math.inf and 0.0 < self.i_max < math.inf):
-            raise ValueError("k_max and i_max must be positive and finite")
         gains = ("dist_kp", "dist_ki", "dist_kd", "head_kp", "head_ki", "head_kd")
         for name in gains:
-            if not 0.0 <= getattr(self, name) <= self.k_max:
-                raise ValueError(f"{name} must lie in [0, k_max]")
+            if not 0.0 <= getattr(self, name) <= K_MAX:
+                raise ValueError(f"{name} must lie in [0, {K_MAX:g}]")
 
 
 @dataclass
@@ -181,12 +178,8 @@ class FuzzyPidController:
             self.engine = Type2Engine(height_scale=cfg.fou_height_scale, lag=cfg.fou_lag)
         else:
             self.engine = Type1Engine()
-        self.distance = PidState(
-            cfg.dist_kp, cfg.dist_ki, cfg.dist_kd, cfg.k_max, cfg.i_max
-        )
-        self.heading = PidState(
-            cfg.head_kp, cfg.head_ki, cfg.head_kd, cfg.k_max, cfg.i_max
-        )
+        self.distance = PidState(cfg.dist_kp, cfg.dist_ki, cfg.dist_kd)
+        self.heading = PidState(cfg.head_kp, cfg.head_ki, cfg.head_kd)
 
     def command(
         self, robot: RobotPose, trajectory: ReferenceTrajectory, k: int

@@ -28,6 +28,10 @@ from omnitrack.planning import ReferenceTrajectory
 
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 1e-12
+# The stop rule: a start converges once its KKT residual is at most
+# KKT_TOLERANCE, and stops unconverged after MAX_ITERATIONS steps.
+KKT_TOLERANCE = 1e-4
+MAX_ITERATIONS = 50
 
 
 class DimensionMismatchError(Exception):
@@ -36,27 +40,26 @@ class DimensionMismatchError(Exception):
 
 @dataclass
 class OcpConfig:
-    """Horizon, weights and solver tolerances.
+    """Horizon and weights: the ``[nmpc]`` keys.
 
     The input box is not tuned here: it is the chassis' ``V_MAX`` and
-    ``OMEGA_MAX``, which ``v_max`` and ``omega_max`` read.
+    ``OMEGA_MAX``, which ``v_max`` and ``omega_max`` read.  Nor is the
+    solver's stop rule, the module's ``KKT_TOLERANCE`` and
+    ``MAX_ITERATIONS``.
     """
 
     horizon: int = 15
     q_diag: tuple[float, float, float] = (15.0, 15.0, 15.0)
     r_diag: tuple[float, float] = (1.0, 1.0)
-    kkt_tolerance: float = 1e-4
-    max_iterations: int = 50
 
     def __post_init__(self):
-        for name in ("horizon", "max_iterations"):
-            value = getattr(self, name)
-            # A bool, a fraction or a non-finite count is not a count.
-            if isinstance(value, (bool, np.bool_)) or not (
-                math.isfinite(value) and value == int(value) and value >= 1
-            ):
-                raise ValueError(f"{name} must be an integer of at least 1")
-            setattr(self, name, int(value))
+        value = self.horizon
+        # A bool, a fraction or a non-finite count is not a count.
+        if isinstance(value, (bool, np.bool_)) or not (
+            math.isfinite(value) and value == int(value) and value >= 1
+        ):
+            raise ValueError("horizon must be an integer of at least 1")
+        self.horizon = int(value)
         self.q_diag = tuple(float(v) for v in self.q_diag)
         self.r_diag = tuple(float(v) for v in self.r_diag)
         if len(self.q_diag) != 3 or len(self.r_diag) != 2:
@@ -66,8 +69,6 @@ class OcpConfig:
         # A zero input weight can leave the Gauss-Newton system singular.
         if not all(0.0 < v < math.inf for v in self.r_diag):
             raise ValueError("r_diag weights must be positive and finite")
-        if not 0.0 < self.kkt_tolerance < math.inf:
-            raise ValueError("kkt_tolerance must be positive and finite")
 
     @property
     def v_max(self) -> float:
@@ -180,10 +181,9 @@ def defects(problem: OcpProblem, solution: OcpSolution) -> float:
 class _Condensed:
     """Residual and Jacobian of the cost as a function of inputs only."""
 
-    def __init__(self, problem: OcpProblem, config: OcpConfig):
+    def __init__(self, problem: OcpProblem, const: _Constants):
         self.problem = problem
         self.x0 = problem.initial_state.as_array()
-        const = config.constants(problem.ts)
         self.sq, self.sr = const.sq, const.sr
         self._before, self._jac = const.before, const.jac
 
@@ -300,13 +300,13 @@ def solve(
     With a warm start the iteration begins there; otherwise two starts
     are tried (the reference inputs and a turn-then-drive guess) and the
     cheaper solution wins.  Starts are clipped into the box.  Iterations
-    stop at the KKT tolerance or the iteration cap; in the latter case
-    the best iterate is still returned with ``converged`` False.
+    stop at ``KKT_TOLERANCE`` or after ``MAX_ITERATIONS``; in the latter
+    case the best iterate is still returned with ``converged`` False.
     """
     n = problem.horizon
     if config.horizon != n:
         raise DimensionMismatchError("problem horizon does not match config")
-    lower, upper, *_ = config.constants(problem.ts)
+    const = config.constants(problem.ts)
     if warm_start is not None:
         start = np.asarray(warm_start, dtype=float).reshape(-1)
         if start.size != 2 * n:
@@ -318,7 +318,8 @@ def solve(
     best = None
     total_iterations = 0
     for start in starts:
-        solution = _solve_from(problem, config, np.clip(start, lower, upper))
+        start = np.clip(start, const.lower, const.upper)
+        solution = _solve_from(problem, const, start)
         total_iterations += solution.iterations
         if best is None or solution.cost < best.cost:
             best = solution
@@ -328,11 +329,9 @@ def solve(
     return best
 
 
-def _solve_from(
-    problem: OcpProblem, config: OcpConfig, u: np.ndarray
-) -> OcpSolution:
-    lower, upper, *_ = config.constants(problem.ts)
-    model = _Condensed(problem, config)
+def _solve_from(problem: OcpProblem, const: _Constants, u: np.ndarray) -> OcpSolution:
+    lower, upper = const.lower, const.upper
+    model = _Condensed(problem, const)
     r, states = model.residual(u)
     cost = float(r @ r)
     iterations = 0
@@ -342,7 +341,7 @@ def _solve_from(
         jac_r = jac.T @ r
         grad = 2.0 * jac_r
         kkt = _kkt_residual(grad, u, lower, upper)
-        if kkt <= config.kkt_tolerance or iterations == config.max_iterations:
+        if kkt <= KKT_TOLERANCE or iterations == MAX_ITERATIONS:
             break
         iterations += 1
         delta = _bounded_gn_step(jac, jac_r, u, lower, upper)
@@ -373,7 +372,7 @@ def _solve_from(
         cost=cost,
         kkt_residual=kkt,
         iterations=iterations,
-        converged=kkt <= config.kkt_tolerance,
+        converged=kkt <= KKT_TOLERANCE,
     )
 
 

@@ -14,13 +14,15 @@ import numpy as np
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 16, 36, 46
+TICK_COUNT = 6  # ticks an axis aims for
+STROKE_WIDTH = 1.5  # of every chart line
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi].
 
     Ticks are counted by index, so a range a few ulps wide, where a tick
@@ -30,7 +32,7 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     narrow that the step's power of ten underflows to 0 is ticked as an
     empty one.
     """
-    intervals = max(count - 1, 1)
+    intervals = TICK_COUNT - 1
     if not (hi - lo) / intervals > 1e-323:  # 10.0 ** -324 == 0.0
         hi = lo + 1.0
     raw = (hi - lo) / intervals
@@ -156,14 +158,14 @@ class _Frame:
         return "\n".join(parts)
 
 
-def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.5) -> str:
+def _polyline(frame: _Frame, xs, ys, color: str) -> str:
     pts = " ".join(
         f"{_fmt(frame.px(float(x)))},{_fmt(frame.py(float(y)))}"
         for x, y in zip(xs, ys)
     )
     return (
         f'<polyline points="{pts}" fill="none" stroke="{color}" '
-        f'stroke-width="{width}"/>'
+        f'stroke-width="{STROKE_WIDTH}"/>'
     )
 
 

@@ -322,9 +322,9 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         ),
     ]
     bad_knobs = [
-        ("track", write_config(tmp_path, name="f.ini", sections={"fpid-t1": {"k_max": "0"}})),
+        ("track", write_config(tmp_path, name="f.ini", sections={"fpid-t1": {"head_kd": "-1"}})),
         ("track", write_config(tmp_path, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}})),
-        ("track", write_config(tmp_path, name="k.ini", sections={"nmpc": {"kkt_tolerance": "inf"}})),
+        ("track", write_config(tmp_path, name="k.ini", sections={"nmpc": {"horizon": "inf"}})),
     ]
     out = tmp_path / "never"
     for command, config in endless + bad_knobs:
@@ -539,13 +539,18 @@ REMOVED_KEYS = {
     "threshold": ("fpid-t1", "fpid-it2"),
     "v_max": ("fpid-t1", "fpid-it2", "nmpc"),
     "omega_max": ("fpid-t1", "fpid-it2", "nmpc"),
+    "k_max": ("fpid-t1", "fpid-it2"),
+    "i_max": ("fpid-t1", "fpid-it2"),
+    "kkt_tolerance": ("nmpc",),
+    "max_iterations": ("nmpc",),
 }
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_the_fuzzy_pid_constants_are_not_keys(tmp_path, capsys, key):
-    # The normalizing ranges, the rate divisor and the stopping range are
-    # constants of omnitrack.fpid, and the speed and yaw-rate limits are
+    # The normalizing ranges, the rate divisor, the stopping range and the
+    # gain and integrator bounds are constants of omnitrack.fpid, NMPC's
+    # stop rule is omnitrack.nmpc's, and the speed and yaw-rate limits are
     # the chassis' own in omnitrack.kinematics; a file that sets one fails
     # as a typo does, on every subcommand.
     out = tmp_path / "never"
@@ -609,7 +614,7 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     bad_np = write_config(configs, name="n.ini", experiment={"np_values": "0,5"})
     endless = write_config(configs, name="e.ini", experiment={"total_time": "inf"})
     huge = write_config(configs, name="h.ini", experiment={"total_time": "1e16"})
-    bad_fpid = write_config(configs, name="f.ini", sections={"fpid-t1": {"k_max": "0"}})
+    bad_fpid = write_config(configs, name="f.ini", sections={"fpid-t1": {"dist_kp": "11"}})
     bad_nmpc = write_config(configs, name="q.ini", sections={"nmpc": {"q_diag": "nan, 1, 1"}})
     nmpc_ts = write_config(configs, name="ts.ini", sections={"nmpc": {"ts": "0.05"}})
     blocked = write_config(walled)
@@ -650,15 +655,12 @@ FUZZ_POOL = {
     },
     "fpid-t1": {
         "dist_kp": ["1.0", "2.5"],
-        "i_max": ["1.0"],
     },
     "fpid-it2": {"fou_lag": ["0.3", "0.7"], "fou_height_scale": ["1.0", "0.8"]},
     "nmpc": {
         "horizon": ["3"],
         "q_diag": ["15, 15, 15", "1, 1", "1, 2, 3, 4"],  # then two wrong lengths
         "r_diag": ["1, 1", "0, 0"],
-        "kkt_tolerance": ["1e-4"],
-        "max_iterations": ["5"],
     },
 }
 

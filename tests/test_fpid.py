@@ -112,22 +112,26 @@ def test_gain_updates_apply_before_output():
 
 
 def test_gains_clamp_to_limits():
-    state = PidState(kp=9.99, ki=0.0, kd=0.0, k_max=10.0)
+    state = PidState(kp=fpid.K_MAX - 0.01, ki=0.0, kd=0.0)
     for _ in range(5):
         fpid_step(state, ConstantEngine(0.1, -0.1, 0.0), 1.0, 0.1, 1.0)
-    assert state.kp == 10.0
+    assert state.kp == fpid.K_MAX
     assert state.ki == 0.0  # cannot go below zero
 
 
 def test_integral_clamps_to_limit():
-    state = PidState(kp=0.0, ki=1.0, kd=0.0, i_max=0.25)
+    state = PidState(kp=0.0, ki=1.0, kd=0.0)
     for _ in range(100):
         fpid_step(state, ZeroEngine(), 1.0, 0.1, 1.0)
-    assert state.integral == pytest.approx(0.25)
-    state2 = PidState(kp=0.0, ki=1.0, kd=0.0, i_max=0.25)
+    assert state.integral == fpid.I_MAX
+    state2 = PidState(kp=0.0, ki=1.0, kd=0.0)
     for _ in range(100):
         fpid_step(state2, ZeroEngine(), -1.0, 0.1, 1.0)
-    assert state2.integral == pytest.approx(-0.25)
+    assert state2.integral == -fpid.I_MAX
+    # The bounds are the module's, not parameters.
+    for removed in ("k_max", "i_max"):
+        with pytest.raises(TypeError):
+            PidState(kp=0.0, ki=1.0, kd=0.0, **{removed: 1.0})
 
 
 def test_engine_sees_normalized_inputs():
@@ -235,17 +239,14 @@ def test_engine_choice_from_config():
     assert want != increments(Type2Engine())
     # An injected engine replaces the one the config would pick.
     assert isinstance(FuzzyPidController(config, engine=Type1Engine()).engine, Type1Engine)
-    # Gains outside [0, k_max] fail in either class, and footprints the
+    # Gains outside [0, K_MAX] fail in either class, and footprints the
     # type-2 engine rejects in the type-2 one, not when the first episode
     # builds its controller.
     shared = (
         {"dist_kp": 12.0},
         {"head_kd": -0.1},
-        {"dist_ki": 5.0, "k_max": 4.0},
-        {"k_max": 0.0},
-        {"k_max": math.inf},
-        {"i_max": 0.0},
-        {"i_max": math.nan},
+        {"dist_ki": math.nextafter(fpid.K_MAX, math.inf)},
+        {"head_ki": math.nan},
     )
     footprints = (
         {"fou_lag": 1.0},
@@ -262,13 +263,18 @@ def test_engine_choice_from_config():
                 cls(**bad)
     with pytest.raises(ValueError, match="fou_lag"):
         FpidIt2Config(fou_lag=0.9999999999999998)
+    # The gain and integrator bounds are the module's, not fields.
+    for cls in (FpidConfig, FpidIt2Config):
+        for removed in ("k_max", "i_max"):
+            with pytest.raises(TypeError):
+                cls(**{removed: 1.0})
 
 
 def test_only_the_type2_config_takes_a_footprint():
     # A type-1 set has no footprint of uncertainty, so the type-1 class
     # has no field for one and the type-2 class adds exactly its two.
     shared = [f.name for f in dataclasses.fields(FpidConfig)]
-    assert len(shared) == 8
+    assert len(shared) == 6
     assert [f.name for f in dataclasses.fields(FpidIt2Config)] == shared + [
         "fou_height_scale",
         "fou_lag",
@@ -335,10 +341,10 @@ def always_infer_step(state, engine, error, dt, norm_scale):
     e_n = min(max(error / norm_scale, -1.0), 1.0)
     de_n = min(max(derivative / (norm_scale * fpid.DE_SCALE), -1.0), 1.0)
     dkp, dki, dkd = engine.infer(e_n, de_n)
-    state.kp = min(max(state.kp + dkp, 0.0), state.k_max)
-    state.ki = min(max(state.ki + dki, 0.0), state.k_max)
-    state.kd = min(max(state.kd + dkd, 0.0), state.k_max)
-    state.integral = min(max(state.integral + error * dt, -state.i_max), state.i_max)
+    state.kp = min(max(state.kp + dkp, 0.0), fpid.K_MAX)
+    state.ki = min(max(state.ki + dki, 0.0), fpid.K_MAX)
+    state.kd = min(max(state.kd + dkd, 0.0), fpid.K_MAX)
+    state.integral = min(max(state.integral + error * dt, -fpid.I_MAX), fpid.I_MAX)
     output = state.kp * error + state.ki * state.integral + state.kd * derivative
     state.prev_error = error
     return output

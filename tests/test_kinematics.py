@@ -232,7 +232,7 @@ def test_wheel_left_inverse_is_the_pseudo_inverse():
 
 def test_the_robot_limits_are_the_chassis_own():
     # One robot, one set of limits: no controller's config holds them.
-    for cls, count in ((FpidConfig, 8), (FpidIt2Config, 10), (OcpConfig, 5)):
+    for cls, count in ((FpidConfig, 6), (FpidIt2Config, 8), (OcpConfig, 3)):
         names = {f.name for f in dataclasses.fields(cls)}
         assert len(names) == count and not names & {"v_max", "omega_max"}, cls
         for name in ("v_max", "omega_max"):
