@@ -12,7 +12,9 @@ Every run copies its config file into the output directory, and a rerun
 with the same config and seed in one environment reproduces the CSV
 outputs bit for bit.
 Nothing is written before the config is validated and the plan and the
-episodes have run, so a failing command leaves no output behind.
+episodes have run.  The outputs are then staged in a directory beside
+the output directory and moved into it file by file, so a failing
+command leaves the output directory as it was.
 Exit codes: 0 success, 1 configuration or I/O error, 2 no path between
 start and goal.
 
@@ -47,8 +49,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import shutil
 import sys
+import tempfile
 import configparser
 import typing
 from importlib import resources
@@ -98,8 +102,8 @@ class _Parser(argparse.ArgumentParser):
 class ExperimentConfig:
     """One experiment: each ``[experiment]`` key with its type and default.
 
-    ``load_config`` fills the two fields that are not keys: the
-    controller configs of the file's sections and the file itself.
+    ``load_config`` fills the one field that is not a key: the
+    controller configs of the file's sections.
     """
 
     map: str = "standard"
@@ -115,7 +119,6 @@ class ExperimentConfig:
     controller_configs: dict[str, object] = dataclasses.field(
         default_factory=dict, init=False
     )
-    source: Path | None = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
         for name in ("start", "goal"):
@@ -179,7 +182,6 @@ def _section_config(cls, name: str, section):
 
 def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
-    source = Path(path)
     # Values are read literally, '%' included.  The default section gets a
     # name no section header can hold, so [DEFAULT] is an ordinary section
     # (and an unknown one) rather than keys inherited by every section.
@@ -187,7 +189,7 @@ def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
         inline_comment_prefixes=("#", ";"), interpolation=None, default_section="\n"
     )
     try:
-        with open(source, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii") as fh:
             parser.read_file(fh)
     except OSError as err:
         raise CliError(f"cannot read config file: {err}") from None
@@ -202,7 +204,6 @@ def load_config(path, *, need_controllers: bool) -> ExperimentConfig:
     if not parser.has_section("experiment"):
         raise CliError("config is missing the [experiment] section")
     config = _section_config(ExperimentConfig, "experiment", parser["experiment"])
-    config.source = source
     if need_controllers and not config.controllers:
         raise CliError("[experiment] must list at least one controller")
     # Every controller section is checked, listed or not: horizon reads [nmpc].
@@ -227,15 +228,6 @@ def _load_map(config: ExperimentConfig):
         raise CliError(f"malformed map file '{path}': {err}") from None
 
 
-def _prepare_outdir(args, config: ExperimentConfig, command: str) -> Path:
-    out = Path(args.out or config.out or f"runs/{command}")
-    out.mkdir(parents=True, exist_ok=True)
-    copy = out / config.source.name
-    if copy.resolve() != config.source.resolve():
-        shutil.copyfile(config.source, copy)
-    return out
-
-
 def _override(config: ExperimentConfig, name: str, raw: str | None) -> None:
     """Set an [experiment] value from its command-line flag, read as in a file."""
     if raw is None:
@@ -254,32 +246,31 @@ def _plan(exp: ExperimentConfig):
     return grid, plan_reference(grid, exp.start, exp.goal, exp.total_time, exp.ts)
 
 
-def cmd_plan(args) -> int:
-    config = load_config(args.config, need_controllers=False)
+def cmd_plan(config: ExperimentConfig) -> typing.Callable[[Path], str]:
     grid, (path, curve, trajectory) = _plan(config)
-    out = _prepare_outdir(args, config, "plan")
-    write_trajectory_csv(trajectory, out / "trajectory.csv")
-    dense = curve.point(np.linspace(0.0, 1.0, 256))
-    svgplot.grid_overlay(
-        out / "plan.svg",
-        grid,
-        [
-            ("grid path", path.world_points(grid)),
-            ("smoothed", dense),
-            ("reference", trajectory.poses[:, :2]),
-        ],
-        title=f"plan {config.start} to {config.goal}",
-    )
-    print(
-        f"plan: {len(path)} cells (cost {path.cost}), "
-        f"{len(trajectory)} reference rows -> {out}"
-    )
-    return EXIT_OK
+
+    def write(stage: Path) -> str:
+        write_trajectory_csv(trajectory, stage / "trajectory.csv")
+        dense = curve.point(np.linspace(0.0, 1.0, 256))
+        svgplot.grid_overlay(
+            stage / "plan.svg",
+            grid,
+            [
+                ("grid path", path.world_points(grid)),
+                ("smoothed", dense),
+                ("reference", trajectory.poses[:, :2]),
+            ],
+            title=f"plan {config.start} to {config.goal}",
+        )
+        return (
+            f"plan: {len(path)} cells (cost {path.cost}), "
+            f"{len(trajectory)} reference rows"
+        )
+
+    return write
 
 
-def cmd_track(args) -> int:
-    config = load_config(args.config, need_controllers=True)
-    _override(config, "seed", args.seed)
+def cmd_track(config: ExperimentConfig) -> typing.Callable[[Path], str]:
     grid, (path, curve, trajectory) = _plan(config)
 
     episodes = [
@@ -292,16 +283,9 @@ def cmd_track(args) -> int:
         )
         for cid in config.controllers
     ]
-    for episode in episodes:
-        run_episode(episode)
-
-    out = _prepare_outdir(args, config, "track")
     rows = []
-    xy_curves = [("reference", trajectory.poses[:, 0], trajectory.poses[:, 1])]
-    th_curves = [("reference", trajectory.times, trajectory.poses[:, 2])]
     for episode in episodes:
-        write_run_csv(episode.log, out / f"run_{episode.controller}.csv")
-        metrics = tracking_metrics(episode.log)
+        metrics = tracking_metrics(run_episode(episode).log)
         rows.append(
             {
                 "controller": episode.controller,
@@ -311,53 +295,53 @@ def cmd_track(args) -> int:
                 "mae_theta": metrics.mae_theta,
             }
         )
-        xy_curves.append(
-            (episode.controller, episode.log.true_pose[:, 0], episode.log.true_pose[:, 1])
-        )
-        th_curves.append(
-            (episode.controller, episode.log.times, episode.log.true_pose[:, 2])
-        )
         print(
             f"track[{episode.controller}]: me_xy={metrics.me_xy:.4f} m, "
             f"mae_theta={metrics.mae_theta:.4f} rad"
         )
-    write_metrics_csv(rows, out / "metrics.csv", noise=config.noise)
-    svgplot.line_chart(
-        out / "tracking_xy.svg",
-        xy_curves,
-        title="tracked position",
-        xlabel="x [m]",
-        ylabel="y [m]",
-        equal_aspect=True,
-    )
-    svgplot.line_chart(
-        out / "tracking_theta.svg",
-        th_curves,
-        title="tracked heading",
-        xlabel="t [s]",
-        ylabel="theta [rad]",
-    )
-    print(f"track: wrote {len(rows)} runs -> {out}")
-    return EXIT_OK
+
+    def write(stage: Path) -> str:
+        xy_curves = [("reference", trajectory.poses[:, 0], trajectory.poses[:, 1])]
+        th_curves = [("reference", trajectory.times, trajectory.poses[:, 2])]
+        for episode in episodes:
+            write_run_csv(episode.log, stage / f"run_{episode.controller}.csv")
+            pose = episode.log.true_pose
+            xy_curves.append((episode.controller, pose[:, 0], pose[:, 1]))
+            th_curves.append((episode.controller, episode.log.times, pose[:, 2]))
+        write_metrics_csv(rows, stage / "metrics.csv", noise=config.noise)
+        svgplot.line_chart(
+            stage / "tracking_xy.svg",
+            xy_curves,
+            title="tracked position",
+            xlabel="x [m]",
+            ylabel="y [m]",
+            equal_aspect=True,
+        )
+        svgplot.line_chart(
+            stage / "tracking_theta.svg",
+            th_curves,
+            title="tracked heading",
+            xlabel="t [s]",
+            ylabel="theta [rad]",
+        )
+        return f"track: wrote {len(rows)} runs"
+
+    return write
 
 
-def cmd_step(args) -> int:
-    exp = load_config(args.config, need_controllers=True)
+def cmd_step(config: ExperimentConfig) -> typing.Callable[[Path], str]:
     results = [
-        (cid, run_step_response(cid, exp.controller_configs[cid], ts=exp.ts))
-        for cid in exp.controllers
+        (cid, run_step_response(cid, config.controller_configs[cid], ts=config.ts))
+        for cid in config.controllers
     ]
-
-    out = _prepare_outdir(args, exp, "step")
 
     def show(value):
         return "-" if value is None else f"{value:.3f}"
 
     rows = []
-    axis_curves = {axis: [] for axis in STEP_AXES}
     for cid, per_axis in results:
         for axis in STEP_AXES:
-            metrics, episode = per_axis[axis]
+            metrics, _ = per_axis[axis]
             rows.append(
                 {
                     "controller": cid,
@@ -367,37 +351,33 @@ def cmd_step(args) -> int:
                     "settling_time": metrics.settling_time,
                 }
             )
-            axis_curves[axis].append(
-                (
-                    cid,
-                    episode.log.times,
-                    episode.log.true_pose[:, STEP_AXES.index(axis)],
-                )
-            )
             print(
                 f"step[{cid}/{axis}]: overshoot={metrics.overshoot_pct:.2f}% "
                 f"rise={show(metrics.rise_time)} s "
                 f"settle={show(metrics.settling_time)} s"
             )
-    write_step_csv(rows, out / "step_metrics.csv")
-    for axis in STEP_AXES:
-        times = axis_curves[axis][0][1]
-        setpoint = ("setpoint", times, np.ones_like(times))
-        svgplot.line_chart(
-            out / f"step_{axis}.svg",
-            [setpoint] + axis_curves[axis],
-            title=f"unit step response on {axis}",
-            xlabel="t [s]",
-            ylabel=axis,
-        )
-    print(f"step: wrote {len(rows)} rows -> {out}")
-    return EXIT_OK
+
+    def write(stage: Path) -> str:
+        write_step_csv(rows, stage / "step_metrics.csv")
+        for index, axis in enumerate(STEP_AXES):
+            curves = []
+            for cid, per_axis in results:
+                log = per_axis[axis][1].log
+                curves.append((cid, log.times, log.true_pose[:, index]))
+            times = curves[0][1]
+            svgplot.line_chart(
+                stage / f"step_{axis}.svg",
+                [("setpoint", times, np.ones_like(times))] + curves,
+                title=f"unit step response on {axis}",
+                xlabel="t [s]",
+                ylabel=axis,
+            )
+        return f"step: wrote {len(rows)} rows"
+
+    return write
 
 
-def cmd_horizon(args) -> int:
-    config = load_config(args.config, need_controllers=False)
-    _override(config, "seed", args.seed)
-    _override(config, "np_values", args.np_values)
+def cmd_horizon(config: ExperimentConfig) -> typing.Callable[[Path], str]:
     base = config.controller_configs.get("nmpc") or OcpConfig()
     try:  # OcpConfig checks each horizon before anything is planned
         for h in config.np_values:
@@ -413,68 +393,87 @@ def cmd_horizon(args) -> int:
         seed=config.seed,
     )
     rows = horizon_sweep(template, config.np_values)
-
-    out = _prepare_outdir(args, config, "horizon")
     for horizon, metrics in rows:
         print(
             f"horizon[{horizon}]: me_xy={metrics.me_xy:.4f} m, "
             f"mae_theta={metrics.mae_theta:.4f} rad"
         )
-    write_horizon_csv(rows, out / "horizon.csv")
-    svgplot.bar_chart(
-        out / "horizon.svg",
-        [str(h) for h in config.np_values],
-        [
-            ("me_xy [m]", [m.me_xy for _, m in rows]),
-            ("mae_theta [rad]", [m.mae_theta for _, m in rows]),
-        ],
-        title="tracking error vs prediction horizon",
-        xlabel="prediction horizon",
-        ylabel="mean error",
-    )
-    print(f"horizon: wrote {len(rows)} rows -> {out}")
-    return EXIT_OK
+
+    def write(stage: Path) -> str:
+        write_horizon_csv(rows, stage / "horizon.csv")
+        svgplot.bar_chart(
+            stage / "horizon.svg",
+            [str(h) for h in config.np_values],
+            [
+                ("me_xy [m]", [m.me_xy for _, m in rows]),
+                ("mae_theta [rad]", [m.mae_theta for _, m in rows]),
+            ],
+            title="tracking error vs prediction horizon",
+            xlabel="prediction horizon",
+            ylabel="mean error",
+        )
+        return f"horizon: wrote {len(rows)} rows"
+
+    return write
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="omnitrack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=False):
+    def command(name, func, help, need_controllers, seeded=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, need_controllers=need_controllers)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides the config)")
         if seeded:  # step responses and plans are noise-free
             p.add_argument("--seed", help="episode seed (overrides the config)")
+        return p
 
-    common(sub.add_parser("plan", help="plan a reference trajectory"))
-    sub.choices["plan"].set_defaults(func=cmd_plan)
-    common(sub.add_parser("track", help="run tracking episodes"), seeded=True)
-    sub.choices["track"].set_defaults(func=cmd_track)
-    common(sub.add_parser("step", help="per-axis unit step responses"))
-    sub.choices["step"].set_defaults(func=cmd_step)
-    horizon = sub.add_parser("horizon", help="prediction-horizon sweep")
-    common(horizon, seeded=True)
+    command("plan", cmd_plan, "plan a reference trajectory", False)
+    command("track", cmd_track, "run tracking episodes", True, seeded=True)
+    command("step", cmd_step, "per-axis unit step responses", True)
+    horizon = command(
+        "horizon", cmd_horizon, "prediction-horizon sweep", False, seeded=True
+    )
     horizon.add_argument(
         "--np-values", help="comma-separated horizon lengths (overrides the config)"
     )
-    horizon.set_defaults(func=cmd_horizon)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _run(args) -> None:
+    """Load the config, compute, then stage the outputs and publish them."""
+    config = load_config(args.config, need_controllers=args.need_controllers)
+    for name in ("seed", "np_values"):
+        _override(config, name, getattr(args, name, None))
+    write = args.func(config)
+    out = Path(args.out or config.out or f"runs/{args.command}")
+    # Beside the linked-to directory, so that each move stays on one device.
+    parent = out.resolve().parent
+    parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=parent))
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        shutil.copyfile(args.config, stage / Path(args.config).name)
+        summary = write(stage)
+        out.mkdir(exist_ok=True)
+        for staged in sorted(stage.iterdir()):
+            os.replace(staged, out / staged.name)
+    finally:
+        shutil.rmtree(stage)
+    print(f"{summary} -> {out}")
+
+
+def main(argv=None) -> int:
+    try:
+        _run(_build_parser().parse_args(argv))
     except NoPathError as err:
         print(f"error: no path found: {err}", file=sys.stderr)
         return EXIT_NO_PATH
-    except (CliError, PlanningError) as err:
+    except (CliError, PlanningError, OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

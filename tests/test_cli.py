@@ -637,7 +637,91 @@ def test_failing_commands_write_nothing(tmp_path, monkeypatch, capsys):
     ]
     for argv, code in cases:
         assert main(argv) == code, argv
+    # A writer that fails once the stage beside --out holds files: --out
+    # is not made, and the stage is removed.
+    good = write_config(configs, name="g.ini", experiment={"controllers": "fpid-t1"})
+    monkeypatch.setattr(omnitrack.cli, "write_metrics_csv", disk_full)
+    monkeypatch.setattr(omnitrack.cli.svgplot, "grid_overlay", disk_full)
+    for command in ("plan", "track"):
+        assert main([command, "--config", str(good), "--out", "out"]) == EXIT_ERROR
     assert list(cwd.iterdir()) == []
+    capsys.readouterr()
+
+
+def disk_full(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_a_failed_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    config = write_config(
+        tmp_path, experiment={"noise": "true", "controllers": "fpid-t1, fpid-it2"}
+    )
+    runs = tmp_path / "runs"
+    out = runs / "out"
+    argv = ["track", "--config", str(config), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    earlier = snapshot(out)
+    # The run CSVs are staged before the metrics table fails.
+    monkeypatch.setattr(omnitrack.cli, "write_metrics_csv", disk_full)
+    assert main(argv + ["--seed", "3"]) == EXIT_ERROR
+    assert "No space left on device" in capsys.readouterr().err
+    assert snapshot(out) == earlier
+    assert list(runs.iterdir()) == [out]
+    fresh = tmp_path / "new" / "out"
+    assert main(["track", "--config", str(config), "--out", str(fresh)]) == EXIT_ERROR
+    assert list(fresh.parent.iterdir()) == []
+    monkeypatch.undo()
+
+    taken = runs / "taken"
+    taken.write_bytes(b"not a directory\n")
+    assert main(["plan", "--config", str(config), "--out", str(taken)]) == EXIT_ERROR
+    assert taken.read_bytes() == b"not a directory\n"
+    assert sorted(runs.iterdir()) == [out, taken]
+
+    # The same rerun with the writer back does replace the earlier files.
+    assert main(argv + ["--seed", "3"]) == EXIT_OK
+    later = snapshot(out)
+    assert later.keys() == earlier.keys()
+    assert later["run_fpid-t1.csv"] != earlier["run_fpid-t1.csv"]
+    capsys.readouterr()
+
+
+def test_a_linked_out_is_staged_beside_its_target(tmp_path, monkeypatch, capsys):
+    # os.replace cannot cross filesystems, and a link may lead to another.
+    config = write_config(tmp_path)
+    target = tmp_path / "elsewhere" / "results"
+    target.mkdir(parents=True)
+    link = tmp_path / "link"
+    link.symlink_to(target, target_is_directory=True)
+    stages = []
+    mkdtemp = omnitrack.cli.tempfile.mkdtemp
+
+    def spy(**kwargs):
+        stages.append(Path(kwargs["dir"]))
+        return mkdtemp(**kwargs)
+
+    monkeypatch.setattr(omnitrack.cli.tempfile, "mkdtemp", spy)
+    assert main(["plan", "--config", str(config), "--out", str(link)]) == EXIT_OK
+    assert stages == [target.resolve().parent]
+    assert sorted(snapshot(target)) == [config.name, "plan.svg", "trajectory.csv"]
+    assert list(target.parent.iterdir()) == [target]
+    capsys.readouterr()
+
+
+def test_a_rerun_may_read_its_config_from_out(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    inside = out / config.name
+    assert main(["plan", "--config", str(inside), "--out", str(out)]) == EXIT_OK
+    assert inside.read_bytes() == config.read_bytes()
+    assert sorted(snapshot(out)) == [config.name, "plan.svg", "trajectory.csv"]
+    beside = sorted(path.name for path in tmp_path.iterdir())
+    assert beside == ["arena.map", config.name, "out"]  # and no stage
     capsys.readouterr()
 
 

@@ -3,12 +3,14 @@ import csv
 import inspect
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from omnitrack.cli import load_config, standard_map_path
 from omnitrack.fpid import FpidConfig, FpidIt2Config, FuzzyPidController
 from omnitrack.kinematics import (
     BodyVelocity,
@@ -18,8 +20,15 @@ from omnitrack.kinematics import (
     wrap_angle,
 )
 from omnitrack.nmpc import NmpcController, OcpConfig, OcpProblem, reference_window, solve
-from omnitrack.planning import OccupancyGrid, ReferenceTrajectory, plan_reference
+from omnitrack.planning import (
+    OccupancyGrid,
+    ReferenceTrajectory,
+    load_grid,
+    plan_reference,
+)
 from omnitrack.simlab import (
+    NOISE_DIVISOR,
+    NOISE_TIME_SCALE,
     RUN_HEADER_BASE,
     RUN_HEADER_SOLVER,
     Episode,
@@ -35,6 +44,8 @@ from omnitrack.simlab import (
     write_run_csv,
     write_step_csv,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def circle_trajectory(n=80, ts=0.1, radius=1.0, speed=0.6):
@@ -76,6 +87,27 @@ def test_noise_amplitude_statistics():
     envelope = math.sin(n * ts / 5.0)
     assert np.all(np.abs(draws) <= envelope / 6.0)
     assert abs(np.mean(draws) / envelope - 1.0 / 12.0) < 0.003
+
+
+def test_the_noise_is_biased_and_sets_the_floor_readme_states():
+    # Each channel's mean is sin(n ts / NOISE_TIME_SCALE) / 12, not zero, on
+    # both sides of the envelope's sign change.
+    model, rng, ts = NoiseModel(), np.random.default_rng(5), 0.1
+    for n in (40, 200, 290):
+        draws = np.array([model.sample(n, ts, rng) for _ in range(20000)])
+        bias = math.sin(n * ts / NOISE_TIME_SCALE) / (2.0 * NOISE_DIVISOR)
+        assert np.all(np.abs(draws.mean(axis=0) - bias) < 2e-3)
+    # A controller that follows the measurement exactly sits at the mean
+    # offset, |bias| in x and in y, over every step of the noisy episode.
+    config = load_config(ROOT / "configs" / "noise.ini", need_controllers=True)
+    grid = load_grid(standard_map_path())
+    _, _, trajectory = plan_reference(
+        grid, config.start, config.goal, config.total_time, config.ts
+    )
+    envelope = np.abs(np.sin(np.arange(len(trajectory)) * config.ts / NOISE_TIME_SCALE))
+    floor = math.sqrt(2.0) / (2.0 * NOISE_DIVISOR) * float(np.mean(envelope))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"`me_xy` floor of {floor:.4f} m" in readme
 
 
 # ------------------------------------------------------------- episodes
