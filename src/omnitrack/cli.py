@@ -21,12 +21,12 @@ start and goal.
 Config files are INI-style.  ``[experiment]`` holds the scenario (map,
 start, goal, total_time, ts, seed, noise, controllers, out, np_values);
 one section per controller id (``[fpid-t1]``, ``[fpid-it2]``, ``[nmpc]``)
-carries that controller's tuning knobs and may be empty to accept the
-defaults; README's config table lists every key with its default and
-the values it accepts.  ``controllers`` lists each id at most once,
-each with its section; every controller section the file holds is
-checked, listed or not.  Any other section, ``[DEFAULT]`` included, is
-an error.
+holds that controller's keys and may be empty to accept the defaults;
+``[fpid-t1]`` takes no keys.  README's config table lists every key with
+its default and the values it accepts.  ``controllers`` lists each id at
+most once, each with its section; every controller section the file
+holds is checked, listed or not.  Any other section, ``[DEFAULT]``
+included, is an error.
 Every section is read into a dataclass, each key parsed by its field's
 declared type; values are literal, with no ``%`` interpolation.  The
 section name picks the config class and the class picks the controller
@@ -38,8 +38,9 @@ limits: every controller drives the one chassis of
 ``OMEGA_MAX`` of 3.14 rad/s.  The fuzzy PIDs bound the speed's
 magnitude along the line of sight and the yaw rate; NMPC boxes its
 unicycle inputs, the speed v along the heading and the yaw rate.  The
-fuzzy PIDs' gain and integrator bounds (``K_MAX``, ``I_MAX``) and NMPC's
-stop rule (``KKT_TOLERANCE``, ``MAX_ITERATIONS``) are constants of their
+fuzzy PIDs' starting gains (``DISTANCE_GAINS``, ``HEADING_GAINS``) and
+their gain and integrator bounds (``K_MAX``, ``I_MAX``), and NMPC's stop
+rule (``KKT_TOLERANCE``, ``MAX_ITERATIONS``), are constants of their
 modules, not keys either.
 ``map = standard`` selects the bundled map.
 """

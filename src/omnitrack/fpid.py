@@ -3,12 +3,12 @@
 Two independent PID loops chase the reference pose of the current step:
 a distance loop turns the range to that target into a speed command and
 a heading loop turns the heading error into a yaw rate.  Each loop's
-gains are nudged every step by a fuzzy engine fed the normalized error
-and error rate, then clamped to [0, K_MAX].  The speed command is
-emitted along the line of sight to the target, in the global frame.
-The controller is called as the predictive one is, with the measured
-pose, the reference trajectory and the step index, and steps by the
-trajectory's sample time.
+gains start at a module constant and are nudged every step by a fuzzy
+engine fed the normalized error and error rate, then clamped to
+[0, K_MAX].  The speed command is emitted along the line of sight to
+the target, in the global frame.  The controller is called as the
+predictive one is, with the measured pose, the reference trajectory and
+the step index, and steps by the trajectory's sample time.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ DISTANCE_THRESHOLD = 0.01
 # The bound of every scheduled gain, and of each integrator's magnitude.
 K_MAX = 10.0
 I_MAX = 1.0
+# Each loop's starting (kp, ki, kd), which the fuzzy engine then schedules.
+DISTANCE_GAINS = (1.0, 0.0, 0.1)
+HEADING_GAINS = (2.0, 0.0, 0.1)
 
 
 @dataclass
@@ -119,27 +122,14 @@ def fpid_step(
 
 @dataclass
 class FpidConfig:
-    """Initial gains of the two loops: the ``[fpid-t1]`` keys, which run
-    the type-1 engine (see README for the file form).  Each lies in
-    [0, K_MAX]; the gain and integrator bounds are module constants."""
-
-    dist_kp: float = 1.0
-    dist_ki: float = 0.0
-    dist_kd: float = 0.1
-    head_kp: float = 2.0
-    head_ki: float = 0.0
-    head_kd: float = 0.1
-
-    def __post_init__(self):
-        gains = ("dist_kp", "dist_ki", "dist_kd", "head_kp", "head_ki", "head_kd")
-        for name in gains:
-            if not 0.0 <= getattr(self, name) <= K_MAX:
-                raise ValueError(f"{name} must lie in [0, {K_MAX:g}]")
+    """The ``[fpid-t1]`` section, which takes no keys: a controller built
+    from one runs the type-1 engine.  The starting gains and the gain and
+    integrator bounds are module constants."""
 
 
 @dataclass
-class FpidIt2Config(FpidConfig):
-    """The ``[fpid-it2]`` keys: the shared knobs plus the type-2 footprint.
+class FpidIt2Config:
+    """The ``[fpid-it2]`` keys: the type-2 engine's footprint.
 
     A controller built from one runs a ``Type2Engine`` of this footprint.
     """
@@ -148,7 +138,6 @@ class FpidIt2Config(FpidConfig):
     fou_lag: float = 0.3
 
     def __post_init__(self):
-        super().__post_init__()
         try:
             check_footprint(self.fou_height_scale, self.fou_lag)
         except ValueError as err:
@@ -159,17 +148,19 @@ class FuzzyPidController:
     """Two-loop self-tuning fuzzy PID tracker.
 
     Holds mutable loop state across steps; one instance per episode.
-    The config's class picks the engine: an ``FpidIt2Config`` builds a
-    ``Type2Engine`` of its footprint and any other config a
-    ``Type1Engine``.  An injected engine replaces it (a stub that returns
-    zero increments reduces the controller to fixed-gain PID).
+    Each loop starts from its module gains (``DISTANCE_GAINS``,
+    ``HEADING_GAINS``).  The config's class picks the engine: an
+    ``FpidIt2Config`` builds a ``Type2Engine`` of its footprint and an
+    ``FpidConfig`` a ``Type1Engine``.  An injected engine replaces it
+    (a stub that returns zero increments reduces the controller to
+    fixed-gain PID).
     An injected engine must be a pure function of its (e, de) input: each
     loop calls ``engine.infer`` only when its input changes and reuses the
     last increments while it repeats, so an engine that keeps state (one
     that adapts, counts or logs its calls) sees fewer calls than steps.
     """
 
-    def __init__(self, config: FpidConfig | None = None, engine=None):
+    def __init__(self, config: FpidConfig | FpidIt2Config | None = None, engine=None):
         self.config = config if config is not None else FpidConfig()
         cfg = self.config
         if engine is not None:
@@ -178,8 +169,8 @@ class FuzzyPidController:
             self.engine = Type2Engine(height_scale=cfg.fou_height_scale, lag=cfg.fou_lag)
         else:
             self.engine = Type1Engine()
-        self.distance = PidState(cfg.dist_kp, cfg.dist_ki, cfg.dist_kd)
-        self.heading = PidState(cfg.head_kp, cfg.head_ki, cfg.head_kd)
+        self.distance = PidState(*DISTANCE_GAINS)
+        self.heading = PidState(*HEADING_GAINS)
 
     def command(
         self, robot: RobotPose, trajectory: ReferenceTrajectory, k: int

@@ -96,15 +96,11 @@ class Episode:
 
 
 def _config_class(controller: str, config):
-    """The id's config class; raises unless config is None or exactly of it.
-
-    An ``FpidIt2Config`` is also an ``FpidConfig``, and the config's class
-    picks the engine, so a subclass check would let ``fpid-t1`` run type-2.
-    """
+    """The id's config class; raises unless config is None or one of it."""
     cls = CONTROLLER_IDS.get(controller)
     if cls is None:
         raise ValueError(f"unknown controller '{controller}'")
-    if config is not None and type(config) is not cls:
+    if config is not None and not isinstance(config, cls):
         raise ValueError(f"controller '{controller}' takes an {cls.__name__}")
     return cls
 

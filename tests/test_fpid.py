@@ -117,6 +117,15 @@ def test_gains_clamp_to_limits():
         fpid_step(state, ConstantEngine(0.1, -0.1, 0.0), 1.0, 0.1, 1.0)
     assert state.kp == fpid.K_MAX
     assert state.ki == 0.0  # cannot go below zero
+    # A loop cannot start outside the range its gains are clamped to.
+    for gains in (
+        (12.0, 0.0, 0.1),
+        (2.0, 0.0, -0.1),
+        (1.0, math.nextafter(fpid.K_MAX, math.inf), 0.1),
+        (2.0, math.nan, 0.1),
+    ):
+        with pytest.raises(ValueError, match="initial gains"):
+            PidState(*gains)
 
 
 def test_integral_clamps_to_limit():
@@ -201,8 +210,10 @@ def test_zero_engine_reduces_to_fixed_pid():
     b = fixed_ctrl.command(robot, target, 0)
     # Same structure, but the fuzzy adaptation changed the applied gains.
     assert (a.vx, a.vy, a.omega) != (b.vx, b.vy, b.omega)
-    assert fixed_ctrl.distance.kp == cfg.dist_kp  # untouched gains
-    assert fuzzy_ctrl.distance.kp != cfg.dist_kp
+    for loop, gains in (("distance", fpid.DISTANCE_GAINS), ("heading", fpid.HEADING_GAINS)):
+        state = getattr(fixed_ctrl, loop)
+        assert (state.kp, state.ki, state.kd) == gains  # untouched gains
+    assert fuzzy_ctrl.distance.kp != fpid.DISTANCE_GAINS[0]
 
 
 def test_type1_and_degenerate_type2_controllers_agree():
@@ -239,15 +250,8 @@ def test_engine_choice_from_config():
     assert want != increments(Type2Engine())
     # An injected engine replaces the one the config would pick.
     assert isinstance(FuzzyPidController(config, engine=Type1Engine()).engine, Type1Engine)
-    # Gains outside [0, K_MAX] fail in either class, and footprints the
-    # type-2 engine rejects in the type-2 one, not when the first episode
-    # builds its controller.
-    shared = (
-        {"dist_kp": 12.0},
-        {"head_kd": -0.1},
-        {"dist_ki": math.nextafter(fpid.K_MAX, math.inf)},
-        {"head_ki": math.nan},
-    )
+    # Footprints the type-2 engine rejects fail in the type-2 config, not
+    # when the first episode builds its controller.
     footprints = (
         {"fou_lag": 1.0},
         {"fou_lag": -0.1},
@@ -257,25 +261,26 @@ def test_engine_choice_from_config():
         {"fou_height_scale": 0.0},
         {"fou_height_scale": 1.5},
     )
-    for cls, bad_values in ((FpidConfig, shared), (FpidIt2Config, shared + footprints)):
-        for bad in bad_values:
-            with pytest.raises(ValueError):
-                cls(**bad)
+    for bad in footprints:
+        with pytest.raises(ValueError):
+            FpidIt2Config(**bad)
     with pytest.raises(ValueError, match="fou_lag"):
         FpidIt2Config(fou_lag=0.9999999999999998)
-    # The gain and integrator bounds are the module's, not fields.
+    # The starting gains and the gain and integrator bounds are the
+    # module's, not fields.
+    removed_keys = ("dist_kp", "dist_ki", "dist_kd", "head_kp", "head_ki", "head_kd")
     for cls in (FpidConfig, FpidIt2Config):
-        for removed in ("k_max", "i_max"):
+        for removed in removed_keys + ("k_max", "i_max"):
             with pytest.raises(TypeError):
                 cls(**{removed: 1.0})
 
 
 def test_only_the_type2_config_takes_a_footprint():
-    # A type-1 set has no footprint of uncertainty, so the type-1 class
-    # has no field for one and the type-2 class adds exactly its two.
-    shared = [f.name for f in dataclasses.fields(FpidConfig)]
-    assert len(shared) == 6
-    assert [f.name for f in dataclasses.fields(FpidIt2Config)] == shared + [
+    # A type-1 set has no footprint of uncertainty, and the starting gains
+    # are module constants, so the type-1 class has no field at all and
+    # the type-2 class exactly the footprint's two.
+    assert dataclasses.fields(FpidConfig) == ()
+    assert [f.name for f in dataclasses.fields(FpidIt2Config)] == [
         "fou_height_scale",
         "fou_lag",
     ]

@@ -126,8 +126,7 @@ def test_unknown_controller_is_rejected():
     with pytest.raises(ValueError, match="'nmpc'"):
         replace(Episode(traj, "nmpc"), controller_config=FpidConfig())
     # The config's class picks the fuzzy engine, so the two fuzzy PIDs
-    # refuse each other's class, although the type-2 one subclasses the
-    # type-1 one.
+    # refuse each other's class.
     for controller, config in (("fpid-it2", FpidConfig()), ("fpid-t1", FpidIt2Config())):
         with pytest.raises(ValueError, match=f"'{controller}' takes an "):
             Episode(trajectory=traj, controller=controller, controller_config=config)
