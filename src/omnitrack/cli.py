@@ -284,18 +284,10 @@ def cmd_track(config: ExperimentConfig) -> typing.Callable[[Path], str]:
         )
         for cid in config.controllers
     ]
-    rows = []
+    results = []
     for episode in episodes:
         metrics = tracking_metrics(run_episode(episode).log)
-        rows.append(
-            {
-                "controller": episode.controller,
-                "scenario": config.map,
-                "tracking_time": trajectory.duration,
-                "me_xy": metrics.me_xy,
-                "mae_theta": metrics.mae_theta,
-            }
-        )
+        results.append((episode.controller, metrics))
         print(
             f"track[{episode.controller}]: me_xy={metrics.me_xy:.4f} m, "
             f"mae_theta={metrics.mae_theta:.4f} rad"
@@ -309,7 +301,9 @@ def cmd_track(config: ExperimentConfig) -> typing.Callable[[Path], str]:
             pose = episode.log.true_pose
             xy_curves.append((episode.controller, pose[:, 0], pose[:, 1]))
             th_curves.append((episode.controller, episode.log.times, pose[:, 2]))
-        write_metrics_csv(rows, stage / "metrics.csv", noise=config.noise)
+        write_metrics_csv(
+            results, stage / "metrics.csv", config.map, trajectory.duration, noise=config.noise
+        )
         svgplot.line_chart(
             stage / "tracking_xy.svg",
             xy_curves,
@@ -325,7 +319,7 @@ def cmd_track(config: ExperimentConfig) -> typing.Callable[[Path], str]:
             xlabel="t [s]",
             ylabel="theta [rad]",
         )
-        return f"track: wrote {len(rows)} runs"
+        return f"track: wrote {len(results)} runs"
 
     return write
 
@@ -339,19 +333,8 @@ def cmd_step(config: ExperimentConfig) -> typing.Callable[[Path], str]:
     def show(value):
         return "-" if value is None else f"{value:.3f}"
 
-    rows = []
     for cid, per_axis in results:
-        for axis in STEP_AXES:
-            metrics, _ = per_axis[axis]
-            rows.append(
-                {
-                    "controller": cid,
-                    "axis": axis,
-                    "overshoot_pct": metrics.overshoot_pct,
-                    "rise_time": metrics.rise_time,
-                    "settling_time": metrics.settling_time,
-                }
-            )
+        for axis, (metrics, _) in per_axis.items():
             print(
                 f"step[{cid}/{axis}]: overshoot={metrics.overshoot_pct:.2f}% "
                 f"rise={show(metrics.rise_time)} s "
@@ -359,7 +342,7 @@ def cmd_step(config: ExperimentConfig) -> typing.Callable[[Path], str]:
             )
 
     def write(stage: Path) -> str:
-        write_step_csv(rows, stage / "step_metrics.csv")
+        write_step_csv(results, stage / "step_metrics.csv")
         for index, axis in enumerate(STEP_AXES):
             curves = []
             for cid, per_axis in results:
@@ -373,7 +356,7 @@ def cmd_step(config: ExperimentConfig) -> typing.Callable[[Path], str]:
                 xlabel="t [s]",
                 ylabel=axis,
             )
-        return f"step: wrote {len(rows)} rows"
+        return f"step: wrote {len(results) * len(STEP_AXES)} rows"
 
     return write
 

@@ -81,7 +81,12 @@ class EpisodeLog:
 
 @dataclass
 class Episode:
-    """Specification of one closed-loop run; ``log`` is filled on run."""
+    """Specification of one closed-loop run; ``log`` is filled on run.
+
+    The controller id must be a key of ``CONTROLLER_IDS``, and the config
+    an instance of that id's class; built without one, the episode holds
+    the class's defaults.  Either mistake raises ValueError.
+    """
 
     trajectory: ReferenceTrajectory
     controller: str
@@ -92,29 +97,13 @@ class Episode:
     log: EpisodeLog | None = field(default=None, init=False)
 
     def __post_init__(self):
-        _config_class(self.controller, self.controller_config)
-
-
-def _config_class(controller: str, config):
-    """The id's config class; raises unless config is None or one of it."""
-    cls = CONTROLLER_IDS.get(controller)
-    if cls is None:
-        raise ValueError(f"unknown controller '{controller}'")
-    if config is not None and not isinstance(config, cls):
-        raise ValueError(f"controller '{controller}' takes an {cls.__name__}")
-    return cls
-
-
-def _controller(controller: str, config=None):
-    """The controller an id names, tuned by config (the defaults when None).
-
-    The config's class picks a fuzzy PID's engine.
-    """
-    cls = _config_class(controller, config)
-    cfg = config if config is not None else cls()
-    if controller == "nmpc":
-        return NmpcController(cfg)
-    return FuzzyPidController(cfg)
+        cls = CONTROLLER_IDS.get(self.controller)
+        if cls is None:
+            raise ValueError(f"unknown controller '{self.controller}'")
+        if self.controller_config is None:
+            self.controller_config = cls()
+        elif not isinstance(self.controller_config, cls):
+            raise ValueError(f"controller '{self.controller}' takes an {cls.__name__}")
 
 
 def run_episode(episode: Episode) -> Episode:
@@ -124,14 +113,16 @@ def run_episode(episode: Episode) -> Episode:
     integrates over the following step and the wheel rates that realize
     it at the heading of record n.  Every controller is called the same
     way, as ``command(measured, trajectory, n)``; an ``nmpc`` episode also
-    logs its ``last_solution`` in the solver columns.  The same seed
-    reproduces the run bit for bit.
+    logs its ``last_solution`` in the solver columns.  The controller is
+    built from the episode's config, whose class picks a fuzzy PID's
+    engine.  The same seed reproduces the run bit for bit.
     """
     traj = episode.trajectory
     n_steps = len(traj)
     # Only noise draws from the generator; building it imports numpy.random.
     rng = np.random.default_rng(episode.seed) if episode.noise is not None else None
-    ctrl = _controller(episode.controller, episode.controller_config)
+    cfg = episode.controller_config
+    ctrl = NmpcController(cfg) if episode.controller == "nmpc" else FuzzyPidController(cfg)
     pose = episode.initial_pose or RobotPose(*traj.poses[0])
 
     reference = traj.poses.copy()
@@ -294,13 +285,12 @@ def horizon_sweep(
     """Tracking metrics of the predictive controller per horizon length.
 
     The template is an ``nmpc`` episode that fixes everything but the
-    horizon: trajectory, noise, seed and the base ``OcpConfig`` (the
-    default one when unset).  Each horizon runs a copy of it.
+    horizon: trajectory, noise, seed and its ``OcpConfig``.  Each horizon
+    runs a copy of it; the template itself is left as it was.
     """
-    base = template.controller_config or OcpConfig()
     rows = []
     for horizon in horizons:
-        cfg = replace(base, horizon=horizon)
+        cfg = replace(template.controller_config, horizon=horizon)
         episode = run_episode(replace(template, controller_config=cfg))
         rows.append((cfg.horizon, tracking_metrics(episode.log)))
     return rows
@@ -317,19 +307,39 @@ def write_run_csv(log: EpisodeLog, path) -> None:
     write_csv(path, header, [range(len(log)), log.times, *columns])
 
 
-def write_metrics_csv(rows: list[dict], path, noise: bool = False) -> None:
-    """Write per-episode tracking metrics; one row per controller run."""
-    keys = ["controller", "scenario", "tracking_time", "me_xy", "mae_theta"]
+def write_metrics_csv(
+    results: list[tuple[str, TrackingMetrics]],
+    path,
+    scenario: str,
+    tracking_time: float,
+    noise: bool = False,
+) -> None:
+    """Write one scenario's tracking metrics, a row per (controller id, metrics).
+
+    A noisy scenario's table gains a ``noise`` column.
+    """
+    header = ["controller", "scenario", "tracking_time", "me_xy", "mae_theta"]
     flag = ["true"] if noise else []
-    table = ([row[k] for k in keys] + flag for row in rows)
-    write_csv(path, keys + (["noise"] if noise else []), zip(*table))
+    table = ([cid, scenario, tracking_time, m.me_xy, m.mae_theta] + flag for cid, m in results)
+    write_csv(path, header + (["noise"] if noise else []), zip(*table))
 
 
-def write_step_csv(rows: list[dict], path) -> None:
-    """Write step-response characteristics; empty fields mean undefined."""
-    keys = ["controller", "axis", "overshoot_pct", "rise_time", "settling_time"]
-    table = (["" if row[k] is None else row[k] for k in keys] for row in rows)
-    write_csv(path, keys, zip(*table))
+def write_step_csv(
+    results: list[tuple[str, dict[str, tuple[StepMetrics, Episode]]]], path
+) -> None:
+    """Write step-response characteristics, a row per controller and axis.
+
+    results pairs each controller id with what :func:`run_step_response`
+    returned for it.  Empty fields mean undefined.
+    """
+    rows = (
+        [cid, axis, m.overshoot_pct, m.rise_time, m.settling_time]
+        for cid, per_axis in results
+        for axis, (m, _) in per_axis.items()
+    )
+    table = (["" if v is None else v for v in row] for row in rows)
+    header = ["controller", "axis", "overshoot_pct", "rise_time", "settling_time"]
+    write_csv(path, header, zip(*table))
 
 
 def write_horizon_csv(rows: list[tuple[int, TrackingMetrics]], path) -> None:

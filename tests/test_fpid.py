@@ -24,7 +24,6 @@ from omnitrack.fpid import (
 from omnitrack.fuzzy import GainDeltas, Type1Engine, Type2Engine
 from omnitrack.kinematics import OMEGA_MAX, V_MAX, RobotPose, wrap_angle
 from omnitrack.planning import ReferenceTrajectory
-from omnitrack.simlab import _controller
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -217,8 +216,8 @@ def test_zero_engine_reduces_to_fixed_pid():
 
 
 def test_type1_and_degenerate_type2_controllers_agree():
-    t1 = _controller("fpid-t1")
-    t2 = _controller("fpid-it2", FpidIt2Config(fou_lag=0.0, fou_height_scale=1.0))
+    t1 = FuzzyPidController(FpidConfig())
+    t2 = FuzzyPidController(FpidIt2Config(fou_lag=0.0, fou_height_scale=1.0))
     assert isinstance(t2.engine, Type2Engine)
     robot = RobotPose(0.0, 0.0, 0.0)
     rng = np.random.default_rng(9)
@@ -233,20 +232,20 @@ def test_type1_and_degenerate_type2_controllers_agree():
 
 def test_engine_choice_from_config():
     # The config's class picks the engine; the fou_* fields shape the type-2 one.
-    assert isinstance(_controller("fpid-t1").engine, Type1Engine)
-    assert isinstance(_controller("fpid-it2").engine, Type2Engine)
+    assert isinstance(FuzzyPidController(FpidConfig()).engine, Type1Engine)
+    assert isinstance(FuzzyPidController(FpidIt2Config()).engine, Type2Engine)
     probes = [(0.4, -0.2), (0.8, 0.1), (-0.6, 0.5), (0.0, 0.0), (1.0, -1.0)]
 
     def increments(engine):
         return [struct.pack("3d", *engine.infer(e, de)) for e, de in probes]
 
-    # Through the lab or built directly, the controller's increments are
-    # those of a Type2Engine of the config's footprint, bit for bit.
+    # The controller's increments are those of a Type2Engine of the
+    # config's footprint, bit for bit.
     config = FpidIt2Config(fou_lag=0.45, fou_height_scale=0.8)
     want = increments(Type2Engine(height_scale=0.8, lag=0.45))
-    for ctrl in (_controller("fpid-it2", config), FuzzyPidController(config)):
-        assert isinstance(ctrl.engine, Type2Engine)
-        assert increments(ctrl.engine) == want
+    ctrl = FuzzyPidController(config)
+    assert isinstance(ctrl.engine, Type2Engine)
+    assert increments(ctrl.engine) == want
     assert want != increments(Type2Engine())
     # An injected engine replaces the one the config would pick.
     assert isinstance(FuzzyPidController(config, engine=Type1Engine()).engine, Type1Engine)
@@ -304,7 +303,7 @@ def test_every_accepted_footprint_builds_a_finite_type2_engine(lag, height_scale
         config = FpidIt2Config(fou_lag=lag, fou_height_scale=height_scale)
     except ValueError:
         return
-    engine = _controller("fpid-it2", config).engine
+    engine = FuzzyPidController(config).engine
     for point in ((e, de), (0.0, 0.0), (0.5, -1 / 3)):
         assert all(math.isfinite(value) for value in engine.infer(*point)), point
 

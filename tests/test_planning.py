@@ -37,6 +37,7 @@ from omnitrack.simlab import (
     RUN_HEADER_SOLVER,
     Episode,
     NoiseModel,
+    StepMetrics,
     TrackingMetrics,
     run_episode,
     write_horizon_csv,
@@ -729,32 +730,29 @@ def test_run_csv_matches_csv_writer(tmp_path, controller):
 
 def test_result_tables_match_csv_writer(tmp_path):
     metrics = [
-        {"controller": "nmpc", "scenario": 'maps/"a,b".map', "tracking_time": 30.0,
-         "me_xy": 0.1 + 0.2, "mae_theta": 5e-324},
-        {"controller": "fpid-t1", "scenario": "standard", "tracking_time": 29.900000000000002,
-         "me_xy": 1e16, "mae_theta": -0.0},
+        ("nmpc", TrackingMetrics(me_xy=0.1 + 0.2, mae_theta=5e-324)),
+        ("fpid-t1", TrackingMetrics(me_xy=1e16, mae_theta=-0.0)),
     ]
     keys = ["controller", "scenario", "tracking_time", "me_xy", "mae_theta"]
-    for noise in (False, True):
-        flag = ["true"] if noise else []
-        assert_same_bytes(
-            tmp_path,
-            lambda path: write_metrics_csv(metrics, path, noise=noise),
-            keys + (["noise"] if noise else []),
-            [[row[k] for k in keys] + flag for row in metrics],
-        )
+    for scenario, tracking_time in (('maps/"a,b".map', 30.0), ("standard", 29.900000000000002)):
+        for noise in (False, True):
+            flag = ["true"] if noise else []
+            rows = [[cid, scenario, tracking_time, m.me_xy, m.mae_theta] + flag for cid, m in metrics]
+            assert_same_bytes(
+                tmp_path,
+                lambda path: write_metrics_csv(metrics, path, scenario, tracking_time, noise=noise),
+                keys + (["noise"] if noise else []),
+                rows,
+            )
     steps = [
-        {"controller": "nmpc", "axis": "y", "overshoot_pct": 0.0, "rise_time": None,
-         "settling_time": None},
-        {"controller": "fpid-it2", "axis": "theta", "overshoot_pct": 12.5,
-         "rise_time": 0.7000000000000001, "settling_time": 2.0},
+        ("nmpc", {"y": (StepMetrics(0.0, None, None), None)}),
+        ("fpid-it2", {"theta": (StepMetrics(12.5, 0.7000000000000001, 2.0), None)}),
     ]
-    keys = ["controller", "axis", "overshoot_pct", "rise_time", "settling_time"]
     assert_same_bytes(
         tmp_path,
         lambda path: write_step_csv(steps, path),
-        keys,
-        [[row[k] for k in keys] for row in steps],
+        ["controller", "axis", "overshoot_pct", "rise_time", "settling_time"],
+        [["nmpc", "y", 0.0, None, None], ["fpid-it2", "theta", 12.5, 0.7000000000000001, 2.0]],
     )
     horizons = [(h, TrackingMetrics(1.0 / (3 * h), math.pi / h)) for h in (1, 5, 20)]
     assert_same_bytes(

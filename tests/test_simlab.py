@@ -34,7 +34,8 @@ from omnitrack.simlab import (
     Episode,
     EpisodeLog,
     NoiseModel,
-    _controller,
+    StepMetrics,
+    TrackingMetrics,
     horizon_sweep,
     run_episode,
     run_step_response,
@@ -131,7 +132,24 @@ def test_unknown_controller_is_rejected():
         with pytest.raises(ValueError, match=f"'{controller}' takes an "):
             Episode(trajectory=traj, controller=controller, controller_config=config)
         with pytest.raises(ValueError, match=f"'{controller}' takes an "):
-            _controller(controller, config)
+            replace(Episode(traj, controller), controller_config=config)
+
+
+def test_an_episode_holds_its_ids_default_config():
+    # Built without a config, an episode holds a default instance of its
+    # id's class, and that config is the one its controller runs with.
+    traj = circle_trajectory(n=20)
+    classes = {"fpid-t1": FpidConfig, "fpid-it2": FpidIt2Config, "nmpc": OcpConfig}
+    for controller, cls in classes.items():
+        config = Episode(traj, controller).controller_config
+        assert type(config) is cls and config == cls()
+    footprint = FpidIt2Config(fou_lag=0.45, fou_height_scale=0.8)
+    commands = [
+        run_episode(Episode(traj, "fpid-it2", config)).log.command
+        for config in (None, FpidIt2Config(), footprint)
+    ]
+    assert np.array_equal(commands[0], commands[1])
+    assert not np.array_equal(commands[0], commands[2])
 
 
 def test_log_layout_and_initial_row():
@@ -192,11 +210,14 @@ def test_both_controllers_take_the_same_parameters():
 
 
 @pytest.mark.parametrize("k", [-1, -30, 30, 31])
-@pytest.mark.parametrize("controller", ["fpid-t1", "fpid-it2", "nmpc"])
-def test_a_step_outside_the_trajectory_is_refused(controller, k):
+@pytest.mark.parametrize(
+    "config", [FpidConfig(), FpidIt2Config(), OcpConfig()], ids=["fpid-t1", "fpid-it2", "nmpc"]
+)
+def test_a_step_outside_the_trajectory_is_refused(config, k):
     # A negative step would otherwise read from the end of the reference.
+    cls = NmpcController if isinstance(config, OcpConfig) else FuzzyPidController
     with pytest.raises(IndexError, match=f"step {k} outside trajectory of length 30"):
-        _controller(controller).command(RobotPose(0.0, 0.0, 0.0), circle_trajectory(n=30), k)
+        cls(config).command(RobotPose(0.0, 0.0, 0.0), circle_trajectory(n=30), k)
 
 
 def test_noise_touches_only_the_measurement_path():
@@ -423,6 +444,16 @@ def test_horizon_sweep_accepts_a_base_config():
     assert template.log is None and template.controller_config is base
 
 
+def test_horizon_sweep_runs_a_template_built_without_a_config():
+    traj = circle_trajectory(n=30)
+    template = Episode(traj, "nmpc")
+    rows = horizon_sweep(template, [3, 4])
+    assert [h for h, _ in rows] == [3, 4]
+    alone = Episode(traj, "nmpc", OcpConfig(horizon=4))
+    assert rows[1][1] == tracking_metrics(run_episode(alone).log)
+    assert template.log is None and template.controller_config == OcpConfig()
+
+
 def test_the_log_is_not_a_constructor_parameter():
     traj = circle_trajectory(n=5)
     with pytest.raises(TypeError):
@@ -503,41 +534,25 @@ def test_run_csv_keeps_solver_columns(tmp_path):
 
 
 def test_metrics_csv_layout(tmp_path):
-    rows = [
-        {
-            "controller": "fpid-t1",
-            "scenario": "maps/a,b.map",
-            "tracking_time": 30.0,
-            "me_xy": 0.125,
-            "mae_theta": 0.04,
-        }
-    ]
+    results = [("fpid-t1", TrackingMetrics(me_xy=0.125, mae_theta=0.04))]
     plain = tmp_path / "metrics.csv"
-    write_metrics_csv(rows, plain)
+    write_metrics_csv(results, plain, "maps/a,b.map", 30.0)
     lines = plain.read_text().splitlines()
     assert lines[0] == "controller,scenario,tracking_time,me_xy,mae_theta"
     assert lines[1] == 'fpid-t1,"maps/a,b.map",30.0,0.125,0.04'
     with open(plain, newline="") as fh:
         assert list(csv.reader(fh))[1][1] == "maps/a,b.map"
     noisy = tmp_path / "noisy.csv"
-    write_metrics_csv(rows, noisy, noise=True)
+    write_metrics_csv(results, noisy, "maps/a,b.map", 30.0, noise=True)
     lines = noisy.read_text().splitlines()
     assert lines[0].endswith(",noise")
     assert lines[1].endswith(",true")
 
 
 def test_step_csv_leaves_undefined_fields_empty(tmp_path):
-    rows = [
-        {
-            "controller": "nmpc",
-            "axis": "y",
-            "overshoot_pct": 0.0,
-            "rise_time": None,
-            "settling_time": None,
-        }
-    ]
+    undefined = StepMetrics(overshoot_pct=0.0, rise_time=None, settling_time=None)
     path = tmp_path / "step.csv"
-    write_step_csv(rows, path)
+    write_step_csv([("nmpc", {"y": (undefined, None)})], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "controller,axis,overshoot_pct,rise_time,settling_time"
     assert lines[1] == "nmpc,y,0.0,,"
