@@ -53,6 +53,6 @@ print(f"\nfigure -> {OUT / 'fuzzy_surface_slice.svg'}")
 print("\ninterval type-2 versus type-1 at (e, de) = (0.3, -0.2):")
 reference = t1.infer(0.3, -0.2).dkp
 for lag in (0.0, 0.15, 0.3, 0.45):
-    it2 = Type2Engine(lag=lag)
+    it2 = Type2Engine(height_scale=1.0, lag=lag)
     print(f"  lag={lag:.2f}: dkp={it2.infer(0.3, -0.2).dkp:+.6f} "
           f"(type-1 {reference:+.6f})")

@@ -8,9 +8,9 @@ Subcommands::
     omnitrack horizon --config cfg.ini [--np-values 5,10,15] [--out DIR]
                       [--seed N]
 
-Every run copies its config file into the output directory, and a rerun
-with the same config and seed in one environment reproduces the CSV
-outputs bit for bit.
+Every run copies its config file into the output directory as given: a
+``--seed`` or ``--np-values`` flag is not recorded there.  A rerun with
+the same config and flags in one environment reproduces the CSVs bit for bit.
 Nothing is written before the config is validated and the plan and the
 episodes have run.  The outputs are then staged in a directory beside
 the output directory and moved into it file by file, so a failing
@@ -131,6 +131,11 @@ class ExperimentConfig:
             raise ValueError("requires finite total_time > ts > 0")
         if not self.np_values:
             raise ValueError("np_values must not be empty")
+        for h in self.np_values:  # OcpConfig alone states the horizon rule
+            try:
+                OcpConfig(horizon=h)
+            except ValueError as err:
+                raise ValueError(f"np_values entry {h}: {err}") from None
         for cid in self.controllers:
             if cid not in CONTROLLER_IDS:
                 raise ValueError(
@@ -362,17 +367,11 @@ def cmd_step(config: ExperimentConfig) -> typing.Callable[[Path], str]:
 
 
 def cmd_horizon(config: ExperimentConfig) -> typing.Callable[[Path], str]:
-    base = config.controller_configs.get("nmpc") or OcpConfig()
-    try:  # OcpConfig checks each horizon before anything is planned
-        for h in config.np_values:
-            dataclasses.replace(base, horizon=h)
-    except ValueError as err:
-        raise CliError(f"invalid horizon value: {err}") from None
     grid, (path, curve, trajectory) = _plan(config)
     template = Episode(
         trajectory=trajectory,
         controller="nmpc",
-        controller_config=base,
+        controller_config=config.controller_configs.get("nmpc"),
         noise=NoiseModel() if config.noise else None,
         seed=config.seed,
     )

@@ -149,24 +149,23 @@ class FuzzyPidController:
 
     Holds mutable loop state across steps; one instance per episode.
     Each loop starts from its module gains (``DISTANCE_GAINS``,
-    ``HEADING_GAINS``).  The config's class picks the engine: an
-    ``FpidIt2Config`` builds a ``Type2Engine`` of its footprint and an
-    ``FpidConfig`` a ``Type1Engine``.  An injected engine replaces it
-    (a stub that returns zero increments reduces the controller to
-    fixed-gain PID).
+    ``HEADING_GAINS``).  The config is required, and its class picks the
+    engine: an ``FpidIt2Config`` builds a ``Type2Engine`` of its
+    footprint and an ``FpidConfig`` a ``Type1Engine``.  An injected
+    engine replaces it (a stub that returns zero increments reduces the
+    controller to fixed-gain PID).
     An injected engine must be a pure function of its (e, de) input: each
     loop calls ``engine.infer`` only when its input changes and reuses the
     last increments while it repeats, so an engine that keeps state (one
     that adapts, counts or logs its calls) sees fewer calls than steps.
     """
 
-    def __init__(self, config: FpidConfig | FpidIt2Config | None = None, engine=None):
-        self.config = config if config is not None else FpidConfig()
-        cfg = self.config
+    def __init__(self, config: FpidConfig | FpidIt2Config, engine=None):
+        self.config = config
         if engine is not None:
             self.engine = engine
-        elif isinstance(cfg, FpidIt2Config):
-            self.engine = Type2Engine(height_scale=cfg.fou_height_scale, lag=cfg.fou_lag)
+        elif isinstance(config, FpidIt2Config):
+            self.engine = Type2Engine(config.fou_height_scale, config.fou_lag)
         else:
             self.engine = Type1Engine()
         self.distance = PidState(*DISTANCE_GAINS)

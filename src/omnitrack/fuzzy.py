@@ -290,15 +290,15 @@ class Type2Engine(_EngineBase):
     Rule firing intervals combine upper and lower memberships by min;
     the fired output sets aggregate (by max) into one output footprint
     whose Karnik-Mendel centroid interval is averaged into the crisp
-    increment.  With lag = 0 and height_scale = 1 the footprint is
-    degenerate and the output equals the type-1 engine's.
+    increment.  Lag 0 and height_scale 1 make the footprint degenerate
+    and the output the type-1 engine's; ``FpidIt2Config`` holds the default.
 
     The engine owns the work array of its ``km_centroid`` calls, so an
     inference allocates no sums of its own; one engine therefore serves
     one caller at a time and is not reentrant.
     """
 
-    def __init__(self, height_scale: float = 1.0, lag: float = 0.3):
+    def __init__(self, height_scale: float, lag: float):
         check_footprint(height_scale, lag)
         super().__init__(height_scale, lag)
         self._work = np.zeros((3, 2, 2, len(_RULE_LABELS), self.grid.size + 1))

@@ -388,7 +388,7 @@ def reference_window(
     if not 0 <= k < n:
         raise IndexError(f"step {k} outside trajectory of length {n}")
     idx = np.minimum(np.arange(k, k + horizon + 1), n - 1)
-    x_ref = trajectory.poses[idx].copy()
+    x_ref = trajectory.poses[idx]  # fancy indexing copies
     u_idx = idx[:-1]
     u_ref = np.column_stack(
         [trajectory.v_ref[u_idx], trajectory.omega_ref[u_idx]]
@@ -406,8 +406,8 @@ class NmpcController:
     run log.  One instance per episode; not reentrant.
     """
 
-    def __init__(self, config: OcpConfig | None = None):
-        self.config = config if config is not None else OcpConfig()
+    def __init__(self, config: OcpConfig):
+        self.config = config
         self.last_solution: OcpSolution | None = None
 
     def command(

@@ -85,7 +85,8 @@ class Episode:
 
     The controller id must be a key of ``CONTROLLER_IDS``, and the config
     an instance of that id's class; built without one, the episode holds
-    the class's defaults.  Either mistake raises ValueError.
+    the class's defaults, the one place a default config is picked: the
+    controllers require theirs.  Either mistake raises ValueError.
     """
 
     trajectory: ReferenceTrajectory

@@ -82,10 +82,11 @@ class _Frame:
     def __init__(self, xlim, ylim, equal_aspect=False):
         self.x0, self.x1 = xlim
         self.y0, self.y1 = ylim
+        # Adding 1 alone would leave a range at 1e17 flat: 1e17 + 1 == 1e17.
         if self.x1 <= self.x0:
-            self.x1 = self.x0 + 1.0
+            self.x1 = self.x0 + max(1.0, 1e-6 * abs(self.x0))
         if self.y1 <= self.y0:
-            self.y1 = self.y0 + 1.0
+            self.y1 = self.y0 + max(1.0, 1e-6 * abs(self.y0))
         self.left = MARGIN_LEFT
         self.right = WIDTH - MARGIN_RIGHT
         self.top = MARGIN_TOP

@@ -249,6 +249,22 @@ def test_horizon_sweep_csv_and_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_horizon_sweep_without_an_nmpc_section_runs_its_defaults(tmp_path, capsys):
+    tables = []
+    for name, nmpc in (("absent.ini", None), ("empty.ini", {})):
+        config = write_config(
+            tmp_path,
+            name=name,
+            experiment={"total_time": "3.0", "np_values": "2, 4", "controllers": ""},
+            sections={"fpid-t1": None, "fpid-it2": None, "nmpc": nmpc},
+        )
+        out = tmp_path / name.replace(".ini", "")
+        assert main(["horizon", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        tables.append((out / "horizon.csv").read_bytes())
+    assert tables[0] == tables[1]
+    capsys.readouterr()
+
+
 def test_noisy_horizon_sweep_follows_the_seed(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -359,6 +375,15 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         tmp_path, name="st.ini", experiment={"ts": "12", "total_time": "30"}
     )
     not_bool = write_config(tmp_path, name="b.ini", experiment={"noise": "maybe"})
+    unparsable = tmp_path / "x.ini"
+    unparsable.write_text("map = standard\n[experiment]\n", encoding="ascii")
+    no_experiment = tmp_path / "ne.ini"
+    no_experiment.write_text("[nmpc]\nhorizon = 3\n", encoding="ascii")
+    no_controllers = write_config(tmp_path, name="nc.ini", experiment={"controllers": ""})
+    no_map = write_config(
+        tmp_path, name="nm.ini", experiment={"map": str(tmp_path / "absent.map")}
+    )
+    three_d = write_config(tmp_path, name="3d.ini", experiment={"start": "1,2,3"})
     # A repeated id would run its episodes twice and overwrite its run file.
     repeated = write_config(
         tmp_path, name="rp.ini", experiment={"controllers": "fpid-t1, fpid-t1"}
@@ -377,6 +402,13 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         (["horizon", "--config", str(good), "--np-values", "2,x"], "--np-values"),
         (["step", "--config", str(slow_step)], "ts must"),
         (["plan", "--config", str(not_bool)], "'noise'"),
+        (["plan", "--config", str(unparsable)], "cannot parse config file"),
+        (["plan", "--config", str(no_experiment)], "missing the [experiment] section"),
+        (["track", "--config", str(no_controllers)], "at least one controller"),
+        (["step", "--config", str(no_controllers)], "at least one controller"),
+        (["plan", "--config", str(no_map)], "cannot read map file"),
+        (["horizon", "--config", str(no_map)], "cannot read map file"),
+        (["plan", "--config", str(three_d)], "start must be 'col,row'"),
         (["track", "--config", str(repeated)], "controllers"),
         (["step", "--config", str(repeated)], "controllers"),
         (["track", "--config", str(good), "--seed", "-1"], "seed"),
@@ -385,6 +417,23 @@ def test_config_validation_errors_exit_with_one(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == EXIT_ERROR, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and culprit in err, err
+        assert not out.exists()
+
+
+def test_every_subcommand_checks_the_horizon_list(tmp_path, capsys):
+    # OcpConfig's horizon rule is checked when the config loads, so a
+    # subcommand that sweeps no horizon rejects a bad list too.
+    config = write_config(tmp_path, experiment={"np_values": "0, 5"})
+    good = write_config(tmp_path, name="good.ini")
+    out = tmp_path / "never"
+    commands = ("plan", "track", "step", "horizon")
+    for argv in (
+        *([command, "--config", str(config)] for command in commands),
+        ["horizon", "--config", str(good), "--np-values", "5, -1"],
+    ):
+        assert main([*argv, "--out", str(out)]) == EXIT_ERROR, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "np_values" in err and "horizon" in err, err
         assert not out.exists()
 
 
@@ -711,6 +760,22 @@ def test_a_linked_out_is_staged_beside_its_target(tmp_path, monkeypatch, capsys)
     assert stages == [target.resolve().parent]
     assert sorted(snapshot(target)) == [config.name, "plan.svg", "trajectory.csv"]
     assert list(target.parent.iterdir()) == [target]
+    capsys.readouterr()
+
+
+def test_the_config_copy_is_the_input_file_as_given(tmp_path, capsys):
+    # The flags override the run, not the copy: it still says seed = 0.
+    config = write_config(
+        tmp_path, experiment={"noise": "true", "controllers": "fpid-t1", "np_values": "2"}
+    )
+    config.write_bytes(config.read_bytes() + b"; a comment, kept  \n")
+    for argv in (
+        ["track", "--seed", "5"],
+        ["horizon", "--seed", "5", "--np-values", "3"],
+    ):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert (out / config.name).read_bytes() == config.read_bytes()
     capsys.readouterr()
 
 

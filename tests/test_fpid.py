@@ -26,6 +26,8 @@ from omnitrack.kinematics import OMEGA_MAX, V_MAX, RobotPose, wrap_angle
 from omnitrack.planning import ReferenceTrajectory
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# The default type-2 footprint (height_scale, lag), as FpidIt2Config holds it.
+FOOTPRINT = dataclasses.astuple(FpidIt2Config())
 
 
 class ZeroEngine:
@@ -76,7 +78,7 @@ def test_first_translation_does_not_depend_on_the_heading():
         target = one_target(RobotPose(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-3.0, 3.0)))
         first = None
         for theta in np.linspace(-math.pi, math.pi, 30):
-            cmd = FuzzyPidController().command(RobotPose(x, y, theta), target, 0)
+            cmd = FuzzyPidController(FpidConfig()).command(RobotPose(x, y, theta), target, 0)
             if first is None:
                 first = bits(cmd.vx, cmd.vy)
             assert bits(cmd.vx, cmd.vy) == first, theta
@@ -246,7 +248,7 @@ def test_engine_choice_from_config():
     ctrl = FuzzyPidController(config)
     assert isinstance(ctrl.engine, Type2Engine)
     assert increments(ctrl.engine) == want
-    assert want != increments(Type2Engine())
+    assert want != increments(Type2Engine(*FOOTPRINT))
     # An injected engine replaces the one the config would pick.
     assert isinstance(FuzzyPidController(config, engine=Type1Engine()).engine, Type1Engine)
     # Footprints the type-2 engine rejects fail in the type-2 config, not
@@ -374,7 +376,7 @@ class Probe:
         return self.engine.infer(e, de)
 
 
-_REAL_ENGINES = (Type1Engine(), Type2Engine())
+_REAL_ENGINES = (Type1Engine(), Type2Engine(*FOOTPRINT))
 # Errors drawn from a small pool repeat often; the pool holds both signed
 # zeros, values that saturate the normalized error and rate, and apexes.
 _POOL = (0.0, -0.0, 1 / 3, -2 / 3, 0.5, -0.5, 1.0, 2.5, -2.5, 40.0, -40.0)

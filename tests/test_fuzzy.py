@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import platform
@@ -22,6 +23,10 @@ from omnitrack.fuzzy import (
     _Triangles,
     km_centroid,
 )
+from omnitrack.fpid import FpidIt2Config
+
+# The default type-2 footprint (height_scale, lag), as FpidIt2Config holds it.
+FOOTPRINT = dataclasses.astuple(FpidIt2Config())
 
 # Independent transcription of the 49-rule gain-scheduling table.  Each
 # cell reads "kp\ki\kd"; rows are e = NB..PB, columns de = NB..PB.  Kept
@@ -155,7 +160,7 @@ def test_uniform_partition_crosses_at_half():
 
 
 def test_fuzzify_clamps_out_of_range():
-    for engine in (Type1Engine(), Type2Engine()):
+    for engine in (Type1Engine(), Type2Engine(*FOOTPRINT)):
         assert engine._fuzzify(5.0, -5.0).tobytes() == engine._fuzzify(1.0, -1.0).tobytes()
         assert engine._fuzzify(5.0, -5.0)[0, 6, 0] == 1.0  # PB error, NB rate
 
@@ -168,9 +173,9 @@ def test_fou_construction_and_containment():
     # the half-support (1/3) inward of the upper set's.
     assert sets(np.array([-0.25, 0.0, 0.25]))[1, 3] == pytest.approx([0.0, 0.8, 0.0], abs=1e-12)
     with pytest.raises(ValueError, match="lag"):
-        Type2Engine(lag=1.0)
+        Type2Engine(height_scale=1.0, lag=1.0)
     with pytest.raises(ValueError, match="height_scale"):
-        Type2Engine(height_scale=0.0)
+        Type2Engine(height_scale=0.0, lag=0.0)
 
 
 def membership_probes(universe, seed=0):
@@ -537,7 +542,7 @@ def test_type2_degenerate_equals_type1():
 
 
 def test_type2_outputs_stay_in_range():
-    engine = Type2Engine()
+    engine = Type2Engine(*FOOTPRINT)
     lo, hi = DELTA_RANGE
     for e in np.linspace(-1.0, 1.0, 11):
         for de in np.linspace(-1.0, 1.0, 11):
@@ -550,7 +555,7 @@ def test_type2_outputs_stay_in_range():
 def test_type2_wide_lag_fires_no_lower_set_yet_stays_finite(lag):
     # With lag > 0.5 the lower triangles leave gaps: at e = 0.5 no lower
     # set fires, so the lower bound of every rule firing is zero.
-    engine = Type2Engine(lag=lag)
+    engine = Type2Engine(height_scale=1.0, lag=lag)
     assert not engine._fuzzify(0.5, 0.0)[1].any()
     lo, hi = DELTA_RANGE
     for value in engine.infer(0.5, 0.0):
@@ -570,7 +575,7 @@ def test_type2_differs_from_type1_with_uncertainty():
 def test_resolution_insensitivity():
     # The engines' 1001-point grid against the oracle on a ten times finer one.
     width = DELTA_RANGE[1] - DELTA_RANGE[0]
-    for engine, footprint in ((Type1Engine(), None), (Type2Engine(), (1.0, 0.3))):
+    for engine, footprint in ((Type1Engine(), None), (Type2Engine(*FOOTPRINT), FOOTPRINT)):
         for e, de in ((0.0, 0.0), (0.35, -0.15), (-0.9, 0.7), (1.0, 1.0)):
             a, b = engine.infer(e, de), reference_infer(e, de, footprint, points=10001)
             for x, y in zip(a, b):
@@ -579,7 +584,7 @@ def test_resolution_insensitivity():
 
 def test_engine_inputs_expect_normalized_scale():
     lo, hi = ERROR_RANGE
-    for engine in (Type1Engine(), Type2Engine()):
+    for engine in (Type1Engine(), Type2Engine(*FOOTPRINT)):
         # Out-of-range inputs clamp rather than fail.
         assert engine.infer(50.0, -50.0) == engine.infer(hi, lo)
 
@@ -587,7 +592,7 @@ def test_engine_inputs_expect_normalized_scale():
 def test_type2_input_next_to_the_zero_apex_does_not_crash():
     # Here the ZO lower membership rounded one ulp above the upper one,
     # and km_centroid rejected the ill-formed interval.
-    engine = Type2Engine()
+    engine = Type2Engine(*FOOTPRINT)
     out = engine.infer(3.5381555418772973e-17, 9.792179086168456e-18)
     lo, hi = DELTA_RANGE
     assert all(lo <= value <= hi for value in out)
@@ -597,13 +602,15 @@ def test_type2_input_next_to_the_zero_apex_does_not_crash():
         assert np.all(lower <= upper), x
 
 
-@pytest.mark.parametrize("engine_class", [Type1Engine, Type2Engine])
+@pytest.mark.parametrize(
+    "engine", [Type1Engine(), Type2Engine(*FOOTPRINT)], ids=["Type1Engine", "Type2Engine"]
+)
 @pytest.mark.parametrize(
     "e, de", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
 )
-def test_engines_reject_non_finite_inputs(engine_class, e, de):
+def test_engines_reject_non_finite_inputs(engine, e, de):
     with pytest.raises(ValueError, match="e and de must be finite"):
-        engine_class().infer(e, de)
+        engine.infer(e, de)
 
 
 def reference_infer(e, de, footprint=None, points=1001):
@@ -637,7 +644,7 @@ def reference_infer(e, de, footprint=None, points=1001):
     "engine, footprint",
     [
         (Type1Engine(), None),
-        (Type2Engine(), (1.0, 0.3)),
+        (Type2Engine(*FOOTPRINT), FOOTPRINT),
         (Type2Engine(height_scale=0.8, lag=0.6), (0.8, 0.6)),
     ],
     ids=["t1", "it2", "it2-wide-lag"],
@@ -650,7 +657,7 @@ def test_engines_equal_the_per_table_reference_loop(engine, footprint):
         assert engine.infer(e, de) == reference_infer(e, de, footprint), (e, de)
 
 
-_ENGINES = (Type1Engine(), Type2Engine())
+_ENGINES = (Type1Engine(), Type2Engine(*FOOTPRINT))
 
 
 @settings(max_examples=100, deadline=None)
@@ -680,9 +687,9 @@ def full_label_aggregate(firing, out_sets):
 GRID = np.linspace(*DELTA_RANGE, 1001)
 _AGGREGATION_ENGINES = {
     "t1": (Type1Engine(), None),
-    "it2": (Type2Engine(), (1.0, 0.3)),
+    "it2": (Type2Engine(*FOOTPRINT), FOOTPRINT),
     "it2-fou-0.8-0.45": (Type2Engine(height_scale=0.8, lag=0.45), (0.8, 0.45)),
-    "it2-degenerate": (Type2Engine(lag=0.0), (1.0, 0.0)),
+    "it2-degenerate": (Type2Engine(height_scale=1.0, lag=0.0), (1.0, 0.0)),
     "it2-wide-lag": (Type2Engine(height_scale=0.6, lag=0.7), (0.6, 0.7)),
 }
 _OUTPUT_SETS = {

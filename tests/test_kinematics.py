@@ -184,6 +184,15 @@ def test_the_plant_wraps_the_heading_once(theta, omega, dt):
     assert bits(out.theta) == bits(once) == bits(wrap_angle(once))
 
 
+def test_a_pose_and_a_plant_step_reject_bad_values():
+    for bad in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="pose components must be finite"):
+            RobotPose(*bad)
+    for dt in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_pose(RobotPose(0.0, 0.0), BodyVelocity(1.0, 0.0, 0.0), dt)
+
+
 def test_forward_kinematics_rejects_bad_rates():
     with pytest.raises(ValueError):
         forward_kinematics(np.array([1.0, 2.0, 3.0]), 0.0)  # needs four entries
@@ -271,8 +280,10 @@ def test_import_constants_do_not_depend_on_the_blas_kernel(fresh_python, coretyp
 ENGINE_BYTES = (
     "import numpy as np\n"
     "from omnitrack.fuzzy import Type1Engine, Type2Engine\n"
+    "from omnitrack.fpid import FpidIt2Config\n"
     "inputs = np.random.default_rng(19).uniform(-1.2, 1.2, (300, 2)).tolist()\n"
-    "for engine in (Type1Engine(), Type2Engine()):\n"
+    "cfg = FpidIt2Config()\n"
+    "for engine in (Type1Engine(), Type2Engine(cfg.fou_height_scale, cfg.fou_lag)):\n"
     "    print(np.array([engine.infer(e, de) for e, de in inputs]).tobytes().hex())\n"
 )
 

@@ -452,6 +452,8 @@ def test_dimension_validation():
         OcpProblem(RobotPose(0, 0, 0), np.zeros((4, 3)), np.zeros((4, 2)), 0.1)
     with pytest.raises(DimensionMismatchError):
         OcpProblem(RobotPose(0, 0, 0), np.zeros((5, 2)), np.zeros((4, 2)), 0.1)
+    with pytest.raises(DimensionMismatchError, match="u_ref"):
+        OcpProblem(RobotPose(0, 0, 0), np.zeros((5, 3)), np.zeros((4, 3)), 0.1)
     problem = OcpProblem(RobotPose(0, 0, 0), np.zeros((5, 3)), np.zeros((4, 2)), 0.1)
     with pytest.raises(DimensionMismatchError):
         solve(problem, OcpConfig(horizon=6))
@@ -503,6 +505,11 @@ def test_reference_window_pads_past_the_end():
     assert np.all(x_ref[4:] == traj.poses[-1])
     assert np.all(u_ref[4:] == 0.0)
     assert np.all(u_ref[:4, 0] == traj.v_ref[15:19])
+    # Both windows are copies: a solve may not write into the trajectory.
+    for k, horizon in ((0, 5), (15, 10), (19, 1)):
+        for window in reference_window(traj, k, horizon):
+            for rows in (traj.poses, traj.v_ref, traj.omega_ref):
+                assert not np.shares_memory(window, rows)
     with pytest.raises(IndexError):
         reference_window(traj, 20, 10)
     with pytest.raises(IndexError):

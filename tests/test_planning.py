@@ -20,6 +20,7 @@ from omnitrack.planning import (
     InvalidCellError,
     NoPathError,
     OccupancyGrid,
+    ReferenceTrajectory,
     SmoothPath,
     _arc_table,
     _gl_arc,
@@ -289,12 +290,31 @@ def test_map_file_top_row_first(tmp_path):
 
 def test_malformed_map_rejected(tmp_path):
     bad = tmp_path / "bad.map"
-    bad.write_text("3 2 0.5\n10\n001\n")  # wrong row width
-    with pytest.raises(ValueError):
-        load_grid(bad)
-    bad.write_text("3 x 0.5\n100\n001\n")
-    with pytest.raises(ValueError):
-        load_grid(bad)
+    for text, message in (
+        ("3 2 0.5\n10\n001\n", "map row 0"),  # wrong row width
+        ("3 x 0.5\n100\n001\n", "invalid literal"),
+        ("", "empty map file"),
+        ("\n  \n", "empty map file"),  # blank lines do not count
+        ("3 2\n100\n001\n", "header"),
+        ("3 2 0.5\n100\n", "expected 2 map rows, found 1"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_grid(bad)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (np.zeros(4), "2-D"),
+        (np.zeros((0, 3)), "2-D"),
+        (np.array([[0, 1], [2, 0]]), "only 0 and 1"),
+    ],
+    ids=["1-d", "empty", "holds-2"],
+)
+def test_bad_grid_cells_rejected(cells, message):
+    with pytest.raises(ValueError, match=message):
+        OccupancyGrid(cells)
 
 
 def test_cell_world_round_trip():
@@ -304,6 +324,13 @@ def test_cell_world_round_trip():
 
 
 # ------------------------------------------------------------- smoothing
+
+
+def test_bad_control_points_rejected():
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        SmoothPath(np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="degree"):
+        SmoothPath(np.zeros((planning.SPLINE_DEGREE, 2)))
 
 
 def straight_path_grid():
@@ -617,6 +644,27 @@ def test_bad_sampling_arguments():
         sample_reference(curve, 0.0, 0.1)
     with pytest.raises(ValueError):
         sample_reference(curve, 10.0, -0.1)
+    # 0.05 s at ts 0.1 s is one sample, which holds no step.
+    with pytest.raises(ValueError, match="at least one step"):
+        sample_reference(curve, 0.05, 0.1)
+
+
+@pytest.mark.parametrize(
+    "ts, poses, v_ref, omega_ref, message",
+    [
+        (0.0, np.zeros((3, 3)), np.zeros(3), np.zeros(3), "ts must be positive"),
+        (-0.1, np.zeros((3, 3)), np.zeros(3), np.zeros(3), "ts must be positive"),
+        (0.1, np.zeros((3, 2)), np.zeros(3), np.zeros(3), r"\(N >= 2, 3\)"),
+        (0.1, np.zeros((1, 3)), np.zeros(1), np.zeros(1), r"\(N >= 2, 3\)"),
+        (0.1, np.zeros((3, 3)), np.zeros(2), np.zeros(3), "match poses length"),
+        (0.1, np.zeros((3, 3)), np.zeros(3), np.zeros(4), "match poses length"),
+        (0.1, np.zeros((3, 3)), np.array([0.0, -1e-9, 0.0]), np.zeros(3), "non-negative"),
+    ],
+    ids=["zero-ts", "negative-ts", "two-columns", "one-row", "short-v", "long-omega", "negative-v"],
+)
+def test_bad_reference_trajectories_rejected(ts, poses, v_ref, omega_ref, message):
+    with pytest.raises(ValueError, match=message):
+        ReferenceTrajectory(ts, poses, v_ref, omega_ref)
 
 
 def traced_peak(fn, *args):

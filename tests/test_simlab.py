@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from omnitrack.cli import load_config, standard_map_path
 from omnitrack.fpid import FpidConfig, FpidIt2Config, FuzzyPidController
+from omnitrack.fuzzy import Type2Engine
 from omnitrack.kinematics import (
     BodyVelocity,
     RobotPose,
@@ -150,6 +151,15 @@ def test_an_episode_holds_its_ids_default_config():
     ]
     assert np.array_equal(commands[0], commands[1])
     assert not np.array_equal(commands[0], commands[2])
+
+
+def test_only_an_episode_picks_a_default_config():
+    # The controllers and the type-2 engine take no default of their own.
+    for build in (NmpcController, FuzzyPidController, Type2Engine):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(TypeError, match="lag"):
+        Type2Engine(1.0)
 
 
 def test_log_layout_and_initial_row():

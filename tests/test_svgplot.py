@@ -47,3 +47,23 @@ def test_a_bar_chart_legend_lists_every_series(tmp_path):
     assert legend == cycle
     assert bars == [color for color in cycle for _ in range(2)]
     assert re.findall(r">(s\d)</text>", text) == [f"s{i}" for i in range(7)]
+
+
+def test_a_bar_chart_of_zeros_gets_a_unit_axis(tmp_path):
+    path = tmp_path / "zeros.svg"
+    bar_chart(path, ["a", "b"], [("s", [0.0, 0.0])])
+    text = path.read_text(encoding="ascii")
+    y_labels = re.findall(r'text-anchor="end" font-family="sans-serif" font-size="11">([^<]*)<', text)
+    assert y_labels == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    assert re.findall(r'height="([^"]*)" fill="#', text) == ["0.00", "0.00"]
+
+
+def test_a_flat_range_too_large_to_widen_by_one_is_charted(tmp_path):
+    # 1e17 + 1 == 1e17, so adding 1 would leave the x range flat.
+    path = tmp_path / "far.svg"
+    line_chart(path, [("far", [1e17, 1e17], [0.0, 1.0])])
+    text = path.read_text(encoding="ascii")
+    assert text.rstrip().endswith("</svg>")
+    (points,) = re.findall(r'<polyline points="([^"]*)"', text)
+    xs = {float(point.split(",")[0]) for point in points.split()}
+    assert xs == {64.0}  # the left edge of the plot
